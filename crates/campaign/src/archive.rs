@@ -28,6 +28,10 @@
 //! atomic tmp+rename, dropping torn tails, duplicates and migrated
 //! legacy files.
 //!
+//! A batch load reads each segment in one sequential pass and verifies
+//! every payload's checksum again as it reads, so bytes that changed
+//! since the index scan are never served.
+//!
 //! Records carry the archive format version, a fingerprint of the spec,
 //! and the full seed derivation (`master_seed` + the cell's
 //! [`ScenarioSpec`]), so a resume can prove each record belongs to the
@@ -73,7 +77,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::runner::{Fidelity, ScenarioMetrics, ScenarioResult};
-use crate::segment::{self, IndexEntry, SegmentIndex, SegmentWriter};
+use crate::segment::{self, SegmentIndex, SegmentWriter};
 use crate::spec::{CampaignSpec, ScenarioSpec};
 
 /// Archive format version; bump when [`CellRecord`]'s layout changes.
@@ -323,8 +327,9 @@ pub struct ArchiveLoad {
     pub slots: Vec<Option<ScenarioResult>>,
     /// Records accepted.
     pub loaded: usize,
-    /// Record files present but rejected (stale version, foreign spec,
-    /// mismatched cell, or unparseable JSON); those cells re-run.
+    /// Records present but rejected (stale version, foreign spec,
+    /// mismatched cell, unparseable JSON, or an indexed frame that no
+    /// longer reads back intact); those cells re-run.
     pub skipped: usize,
 }
 
@@ -671,7 +676,9 @@ impl CampaignArchive {
     }
 
     /// [`load_cell`](Self::load_cell) at an explicit fidelity: reads
-    /// that fidelity's segment store; only a record evaluated at
+    /// that fidelity's segment store through the one-cell case of the
+    /// batch read behind [`load_as`](Self::load_as), so the payload's
+    /// checksum is verified the same way; only a record evaluated at
     /// exactly `fidelity` satisfies the read.
     pub fn load_cell_as(
         &self,
@@ -713,6 +720,12 @@ impl CampaignArchive {
     /// fidelity's segment store; a record of the wrong fidelity that
     /// somehow ended up there counts as `skipped` (its cell runs fresh
     /// at the requested fidelity — never served across the boundary).
+    ///
+    /// The batch costs one index refresh and one sequential pass per
+    /// segment file (`SegmentIndex::read_batch`), each payload's
+    /// checksum verified as it is read. A frame that vanished
+    /// (compaction in another process) or failed its checksum gets one
+    /// refreshing retry; if it still fails, it counts as `skipped`.
     pub fn load_as(
         &self,
         spec: &CampaignSpec,
@@ -723,26 +736,34 @@ impl CampaignArchive {
         let mut loaded = 0;
         let mut skipped = 0;
         {
-            // one refresh for the whole batch, then index-served reads
+            // one refresh for the whole batch, then one sequential pass
+            // per segment
             let mut state = self.lock_for(fidelity);
             let _ = state.index.refresh();
-            for (i, cell) in cells.iter().enumerate() {
-                if !state.index.contains(cell.index) {
-                    continue;
+            let mut settle = |slot: usize, payload: Option<&[u8]>| match payload
+                .and_then(|bytes| std::str::from_utf8(bytes).ok())
+                .and_then(|text| self.record_from(spec, &cells[slot], text, Some(fidelity)))
+            {
+                Some(result) => {
+                    slots[slot] = Some(result);
+                    loaded += 1;
                 }
-                let Some(payload) = state.index.read_refreshing(cell.index) else {
-                    continue; // segment vanished (compaction race): legacy below
-                };
-                match std::str::from_utf8(&payload)
-                    .ok()
-                    .and_then(|text| self.record_from(spec, cell, text, Some(fidelity)))
-                {
-                    Some(result) => {
-                        slots[i] = Some(result);
-                        loaded += 1;
-                    }
-                    None => skipped += 1,
-                }
+                None => skipped += 1,
+            };
+            let indices: Vec<usize> = cells.iter().map(|cell| cell.index).collect();
+            let mut retry = Vec::new();
+            state
+                .index
+                .read_batch(&indices, |slot, payload| match payload {
+                    Some(_) => settle(slot, payload),
+                    None => retry.push(slot),
+                });
+            // a frame that vanished (compaction race) or failed its
+            // checksum gets one refreshing retry; a record still
+            // unreadable is skipped and its cell re-runs
+            for slot in retry {
+                let payload = state.index.read_refreshing(indices[slot]);
+                settle(slot, payload.as_deref());
             }
         }
         // legacy read-through for whatever the segments didn't cover
@@ -819,17 +840,8 @@ impl CampaignArchive {
             ARCHIVE_VERSION,
             json.as_bytes(),
         )?;
-        let path = segment::segment_path(&dir, appended.segment);
-        state.index.insert_local(
-            index,
-            IndexEntry {
-                segment: appended.segment,
-                payload_offset: appended.payload_offset,
-                payload_len: appended.payload_len,
-            },
-            &path,
-            appended.end,
-        );
+        let path = segment::segment_path(&dir, appended.entry.segment);
+        state.index.insert_local(index, &path, appended);
         Ok(())
     }
 
@@ -953,25 +965,22 @@ impl CampaignArchive {
             report.bytes_before += std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         }
         // full-validation pass: canonical record text per live cell
+        let indices: Vec<usize> = state.index.indices().filter(|&i| i < n).collect();
+        let mut valid = Vec::new();
+        state.index.read_batch(&indices, |slot, payload| {
+            let index = indices[slot];
+            if let Some(rec) = payload
+                .and_then(|bytes| std::str::from_utf8(bytes).ok())
+                .and_then(|text| self.valid_record(spec, &spec.cell_at(index), text, None))
+            {
+                valid.push((index, rec));
+            }
+        });
         let mut records: std::collections::BTreeMap<usize, String> =
             std::collections::BTreeMap::new();
-        let mut indices: Vec<usize> = state.index.indices().collect();
-        indices.sort_unstable();
-        for index in indices {
-            if index >= n {
-                continue;
-            }
-            let cell = spec.cell_at(index);
-            let Some(payload) = state.index.read(index) else {
-                continue;
-            };
-            if let Some(rec) = std::str::from_utf8(&payload)
-                .ok()
-                .and_then(|text| self.valid_record(spec, &cell, text, None))
-            {
-                let text = serde_json::to_string(&rec).map_err(|e| e.to_string())?;
-                records.insert(index, text);
-            }
+        for (index, rec) in valid {
+            let text = serde_json::to_string(&rec).map_err(|e| e.to_string())?;
+            records.insert(index, text);
         }
         // migrate legacy records (valid ones; corrupt files are gc's
         // business, not compaction's)

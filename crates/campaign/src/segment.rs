@@ -40,8 +40,13 @@
 //! byte-identical.
 //!
 //! The in-memory [`SegmentIndex`] maps grid index → (segment, offset,
-//! length); duplicate records for one cell (bounded lease overlap) are
-//! byte-identical by construction, so first-frame-wins is safe.
+//! length, checksum); duplicate records for one cell (bounded lease
+//! overlap) are byte-identical by construction, so first-frame-wins is
+//! safe. Reads come in batches: each segment a batch touches is opened
+//! once and streamed in file order, and every payload is checked
+//! against its indexed checksum as it is read — a frame whose bytes
+//! changed after the scan is a miss, never a record served with
+//! different contents.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -82,6 +87,8 @@ pub(crate) struct Frame {
     pub payload_offset: u64,
     /// Payload length in bytes.
     pub payload_len: u32,
+    /// FNV-1a 64 of the payload, as the header records it.
+    pub checksum: u64,
 }
 
 /// Encodes one frame (header + payload) ready to append.
@@ -138,6 +145,7 @@ pub(crate) fn scan_segment(path: &Path, from: u64) -> std::io::Result<(Vec<Frame
             version,
             payload_offset: pos + FRAME_HEADER_LEN as u64,
             payload_len: len,
+            checksum,
         });
         pos += (FRAME_HEADER_LEN + len as usize) as u64;
     }
@@ -158,6 +166,11 @@ fn read_exact_or_eof(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<
     }
     Ok(Some(()))
 }
+
+/// Read-ahead of a batch read's segment stream. Small on purpose: every
+/// thread that reads allocates one, and a larger one showed up in the
+/// daemon's peak memory without reading any faster.
+const READ_AHEAD: usize = 8 << 10;
 
 /// The numbered path of one segment file.
 pub(crate) fn segment_path(dir: &Path, number: u64) -> PathBuf {
@@ -203,6 +216,9 @@ pub(crate) struct IndexEntry {
     pub payload_offset: u64,
     /// Payload length in bytes.
     pub payload_len: u32,
+    /// FNV-1a 64 of the payload; every read re-verifies it, so bytes
+    /// that changed after the scan are never served.
+    pub checksum: u64,
 }
 
 /// Per-file scan cursor: how far a segment has been validated.
@@ -221,6 +237,10 @@ struct FileState {
 /// indexed; foreign frames are skipped (their cells read as missing,
 /// exactly like a foreign legacy record). First frame wins: duplicates
 /// are byte-identical by construction.
+///
+/// All reads go through [`read_batch`](Self::read_batch): one pass per
+/// segment in file order, every payload checksum-verified at read time
+/// ([`read`](Self::read) is its one-cell case).
 #[derive(Debug)]
 pub(crate) struct SegmentIndex {
     dir: PathBuf,
@@ -320,43 +340,98 @@ impl SegmentIndex {
             segment,
             payload_offset: frame.payload_offset,
             payload_len: frame.payload_len,
+            checksum: frame.checksum,
         });
     }
 
-    /// Registers a record this process just appended, so its own reads
-    /// are index hits without rescanning its own segment.
-    pub(crate) fn insert_local(&mut self, index: usize, entry: IndexEntry, path: &Path, end: u64) {
+    /// Registers a record this process just appended to `path`, so its
+    /// own reads are index hits without rescanning its own segment.
+    pub(crate) fn insert_local(&mut self, index: usize, path: &Path, appended: Appended) {
+        let entry = appended.entry;
         self.files
             .entry(entry.segment)
-            .and_modify(|f| f.scanned = end)
+            .and_modify(|f| f.scanned = appended.end)
             .or_insert(FileState {
                 path: path.to_path_buf(),
-                scanned: end,
+                scanned: appended.end,
             });
         self.entries.entry(index).or_insert(entry);
     }
 
-    /// Reads one indexed payload. `None` when the cell is not indexed
-    /// or its segment vanished under us (compaction in another
-    /// process) — the caller treats that as a miss and may refresh.
+    /// Reads the indexed payloads of a batch of grid indices in one
+    /// sequential pass per segment: the wanted frames are sorted by
+    /// (segment, offset), each segment is opened once and streamed in
+    /// file order through one reused buffer, and every payload's
+    /// checksum is verified as it is read.
+    ///
+    /// `visit(slot, payload)` runs once per *indexed* cell, `slot`
+    /// being its position in `cells` (file order decides only the call
+    /// order). The payload is `None` when its segment vanished
+    /// (compaction in another process) or its bytes no longer match
+    /// the checksum — the caller treats that as a miss and may retry
+    /// through [`read_refreshing`](Self::read_refreshing). Cells that
+    /// are not indexed are not visited.
+    pub(crate) fn read_batch(&self, cells: &[usize], mut visit: impl FnMut(usize, Option<&[u8]>)) {
+        let mut wanted: Vec<(IndexEntry, usize)> = cells
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, index)| Some((*self.entries.get(index)?, slot)))
+            .collect();
+        wanted.sort_unstable_by_key(|(entry, slot)| (entry.segment, entry.payload_offset, *slot));
+        let mut payload = Vec::new();
+        for run in wanted.chunk_by(|a, b| a.0.segment == b.0.segment) {
+            let mut reader = self
+                .files
+                .get(&run[0].0.segment)
+                .and_then(|state| std::fs::File::open(&state.path).ok())
+                .map(|file| std::io::BufReader::with_capacity(READ_AHEAD, file));
+            let mut pos = 0u64;
+            for &(entry, slot) in run {
+                // a short read means the file ends before this frame, and
+                // so before every later one: the rest of the run misses
+                let read = reader.as_mut().is_some_and(|r| {
+                    payload.resize(entry.payload_len as usize, 0);
+                    r.seek_relative(entry.payload_offset as i64 - pos as i64)
+                        .is_ok()
+                        && matches!(read_exact_or_eof(r, &mut payload), Ok(Some(())))
+                });
+                if read {
+                    pos = entry.payload_offset + u64::from(entry.payload_len);
+                } else {
+                    reader = None;
+                }
+                let intact = read && fnv1a_64(&payload) == entry.checksum;
+                visit(slot, intact.then_some(payload.as_slice()));
+            }
+        }
+    }
+
+    /// Reads one indexed payload: the one-cell [`read_batch`]. `None`
+    /// when the cell is not indexed, its segment vanished or the
+    /// payload fails its checksum.
+    ///
+    /// [`read_batch`]: Self::read_batch
     pub(crate) fn read(&self, index: usize) -> Option<Vec<u8>> {
-        let entry = self.entries.get(&index)?;
-        let file = self.files.get(&entry.segment)?;
-        let mut f = std::fs::File::open(&file.path).ok()?;
-        f.seek(SeekFrom::Start(entry.payload_offset)).ok()?;
-        let mut payload = vec![0u8; entry.payload_len as usize];
-        f.read_exact(&mut payload).ok()?;
-        Some(payload)
+        let mut out = None;
+        self.read_batch(&[index], |_, payload| out = payload.map(<[u8]>::to_vec));
+        out
     }
 
     /// [`read`](Self::read), retrying once through a refresh — heals a
-    /// lookup that raced a compaction in another process.
+    /// lookup that raced a compaction in another process, or a record
+    /// another process appended since the last refresh. An entry whose
+    /// frame still does not read back intact is dropped from the
+    /// index, so the cell's next append is indexed in its place.
     pub(crate) fn read_refreshing(&mut self, index: usize) -> Option<Vec<u8>> {
         if let Some(payload) = self.read(index) {
             return Some(payload);
         }
         self.refresh().ok()?;
-        self.read(index)
+        let payload = self.read(index);
+        if payload.is_none() {
+            self.entries.remove(&index);
+        }
+        payload
     }
 
     /// Drops every entry and cursor; the next refresh rebuilds from the
@@ -389,9 +464,8 @@ struct OpenSegment {
 /// Where an append landed.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Appended {
-    pub segment: u64,
-    pub payload_offset: u64,
-    pub payload_len: u32,
+    /// The index entry of the appended record.
+    pub entry: IndexEntry,
     /// File length after the append.
     pub end: u64,
 }
@@ -422,9 +496,16 @@ impl SegmentWriter {
         let payload_offset = seg.end + FRAME_HEADER_LEN as u64;
         seg.end += frame.len() as u64;
         Ok(Appended {
-            segment: seg.number,
-            payload_offset,
-            payload_len: payload.len() as u32,
+            entry: IndexEntry {
+                segment: seg.number,
+                payload_offset,
+                payload_len: payload.len() as u32,
+                checksum: u64::from_le_bytes(
+                    frame[28..36]
+                        .try_into()
+                        .expect("the header's 8-byte checksum field"),
+                ),
+            },
             end: seg.end,
         })
     }
@@ -504,7 +585,7 @@ mod tests {
         let mut writer = SegmentWriter::default();
         writer.append(&dir, 0, 7, 1, b"whole").unwrap();
         let a = writer.append(&dir, 1, 7, 1, b"torn-away").unwrap();
-        let path = segment_path(&dir, a.segment);
+        let path = segment_path(&dir, a.entry.segment);
         let full = std::fs::metadata(&path).unwrap().len();
         // tear the final record mid-payload
         let torn_len = full - 4;
@@ -553,9 +634,158 @@ mod tests {
         let mut index = SegmentIndex::new(dir.clone(), 5, 1);
         index.refresh().unwrap();
         assert!(index.contains(3));
-        std::fs::remove_file(segment_path(&dir, a.segment)).unwrap();
+        std::fs::remove_file(segment_path(&dir, a.entry.segment)).unwrap();
         index.refresh().unwrap();
         assert!(!index.contains(3), "entry dropped with its segment");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One batch read collected per slot: outer `None` = not visited,
+    /// `Some(None)` = visited without a payload.
+    fn batch(index: &SegmentIndex, cells: &[usize]) -> Vec<Option<Option<Vec<u8>>>> {
+        let mut slots = vec![None; cells.len()];
+        index.read_batch(cells, |slot, payload| {
+            assert!(slots[slot].is_none(), "slot {slot} visited twice");
+            slots[slot] = Some(payload.map(<[u8]>::to_vec));
+        });
+        slots
+    }
+
+    fn hit(payload: &[u8]) -> Option<Option<Vec<u8>>> {
+        Some(Some(payload.to_vec()))
+    }
+
+    #[test]
+    fn batch_reads_span_segments_in_any_request_order() {
+        let dir = tmp_dir("batch-order");
+        let mut a = SegmentWriter::default();
+        let mut b = SegmentWriter::default();
+        for i in 0..6 {
+            let writer = if i % 2 == 0 { &mut a } else { &mut b };
+            writer
+                .append(&dir, i, 9, 1, format!("cell-{i}").as_bytes())
+                .unwrap();
+        }
+        let mut index = SegmentIndex::new(dir.clone(), 9, 1);
+        index.refresh().unwrap();
+        // reversed, interleaved across both segments, with a duplicate
+        // and an index nobody stored: slots follow the request order
+        let cells = [5, 0, 3, 42, 2, 5, 1, 4];
+        let got = batch(&index, &cells);
+        assert_eq!(got[0], hit(b"cell-5"));
+        assert_eq!(got[1], hit(b"cell-0"));
+        assert_eq!(got[2], hit(b"cell-3"));
+        assert_eq!(got[3], None, "an unindexed cell is not visited");
+        assert_eq!(got[4], hit(b"cell-2"));
+        assert_eq!(got[5], hit(b"cell-5"));
+        assert_eq!(got[6], hit(b"cell-1"));
+        assert_eq!(got[7], hit(b"cell-4"));
+        assert!(batch(&index, &[]).is_empty());
+        assert_eq!(index.read(42), None);
+        assert_eq!(index.read(3).unwrap(), b"cell-3");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_reads_stream_past_the_read_ahead() {
+        let dir = tmp_dir("batch-chunk");
+        let mut writer = SegmentWriter::default();
+        // payloads that straddle chunk boundaries, one larger than a chunk
+        let payloads: Vec<Vec<u8>> = (0..40u8)
+            .map(|i| vec![i; if i == 17 { READ_AHEAD + 5 } else { 3001 }])
+            .collect();
+        for (i, p) in payloads.iter().enumerate() {
+            writer.append(&dir, i, 3, 1, p).unwrap();
+        }
+        let mut index = SegmentIndex::new(dir.clone(), 3, 1);
+        index.refresh().unwrap();
+        let cells: Vec<usize> = (0..40).rev().collect();
+        let got = batch(&index, &cells);
+        for (slot, &cell) in cells.iter().enumerate() {
+            assert_eq!(got[slot], hit(&payloads[cell]), "cell {cell}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn vanished_segment_misses_then_heals_through_a_refreshing_retry() {
+        let dir = tmp_dir("batch-vanish");
+        let mut old = SegmentWriter::default();
+        let gone = old.append(&dir, 0, 4, 1, b"zero").unwrap();
+        old.append(&dir, 1, 4, 1, b"one").unwrap();
+        let mut index = SegmentIndex::new(dir.clone(), 4, 1);
+        index.refresh().unwrap();
+        // a compaction in another process: the records move to a fresh
+        // segment and the old file is deleted after the index scanned it
+        let mut compacted = SegmentWriter::default();
+        compacted.append(&dir, 1, 4, 1, b"one").unwrap();
+        compacted.append(&dir, 0, 4, 1, b"zero").unwrap();
+        std::fs::remove_file(segment_path(&dir, gone.entry.segment)).unwrap();
+        assert_eq!(batch(&index, &[0, 1]), vec![Some(None), Some(None)]);
+        assert_eq!(index.read_refreshing(0).unwrap(), b"zero");
+        assert_eq!(batch(&index, &[1, 0]), vec![hit(b"one"), hit(b"zero")]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_reads_skip_torn_tails_and_miss_on_truncation() {
+        let dir = tmp_dir("batch-torn");
+        let mut writer = SegmentWriter::default();
+        writer.append(&dir, 0, 6, 1, b"kept").unwrap();
+        writer.append(&dir, 1, 6, 1, b"also kept").unwrap();
+        let last = writer.append(&dir, 2, 6, 1, b"torn away").unwrap();
+        let path = segment_path(&dir, last.entry.segment);
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(last.end - 2).unwrap();
+        drop(f);
+        let mut index = SegmentIndex::new(dir.clone(), 6, 1);
+        index.refresh().unwrap();
+        assert_eq!(
+            batch(&index, &[2, 1, 0]),
+            vec![None, hit(b"also kept"), hit(b"kept")],
+            "the torn frame is never indexed"
+        );
+        // the file shrinks under an index that already covers a frame:
+        // a short read is a miss, and the frames before it still serve
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(last.entry.payload_offset - FRAME_HEADER_LEN as u64 - 3)
+            .unwrap();
+        drop(f);
+        assert_eq!(batch(&index, &[1, 0]), vec![Some(None), hit(b"kept")]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bytes_changed_after_the_scan_fail_the_read_time_checksum() {
+        let dir = tmp_dir("batch-flip");
+        let mut writer = SegmentWriter::default();
+        writer
+            .append(&dir, 0, 8, 1, b"{\"energy_j\":0.0035}")
+            .unwrap();
+        let flipped = writer
+            .append(&dir, 1, 8, 1, b"{\"energy_j\":0.0035}")
+            .unwrap();
+        let mut index = SegmentIndex::new(dir.clone(), 8, 1);
+        index.refresh().unwrap();
+        let path = segment_path(&dir, flipped.entry.segment);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = flipped.entry.payload_offset as usize + b"{\"energy_j\":0.00".len();
+        bytes[at] = b'9';
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(
+            batch(&index, &[0, 1]),
+            vec![hit(b"{\"energy_j\":0.0035}"), Some(None)]
+        );
+        assert_eq!(index.read(1), None);
+        // the refreshing retry cannot heal it: the entry is dropped so
+        // the cell's next append is indexed in its place
+        assert_eq!(index.read_refreshing(1), None);
+        assert!(!index.contains(1));
+        let appended = writer
+            .append(&dir, 1, 8, 1, b"{\"energy_j\":0.0035}")
+            .unwrap();
+        index.insert_local(1, &path, appended);
+        assert_eq!(index.read(1).unwrap(), b"{\"energy_j\":0.0035}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -566,7 +796,7 @@ mod tests {
         let mut b = SegmentWriter::default();
         let wa = a.append(&dir, 0, 1, 1, b"a").unwrap();
         let wb = b.append(&dir, 1, 1, 1, b"b").unwrap();
-        assert_ne!(wa.segment, wb.segment);
+        assert_ne!(wa.entry.segment, wb.entry.segment);
         let mut index = SegmentIndex::new(dir.clone(), 1, 1);
         index.refresh().unwrap();
         assert_eq!(index.read(0).unwrap(), b"a");

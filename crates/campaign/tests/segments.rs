@@ -302,3 +302,66 @@ fn legacy_five_digit_archive_resumes_and_compacts_without_simulations() {
     assert_eq!(archive_bytes(&again.result), archive_bytes(&cold.result));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn record_bytes_changed_after_open_are_rerun_never_served() {
+    // the index is built on open; a record whose bytes change afterwards
+    // (disk corruption, a stray writer) must fail the read-time checksum
+    // on that same handle: its cell is skipped and re-simulated, never
+    // served with different metrics
+    let spec = spec_with(vec![1, 2, 3]);
+    let cold = run_campaign_with(&spec, &config(1), None).expect("cold run");
+    let dir = scratch_dir();
+    {
+        let archive = CampaignArchive::open(&dir, &spec).expect("open");
+        for r in &cold.result.results {
+            archive.store(&spec, r).expect("store");
+        }
+    }
+    let archive = CampaignArchive::open(&dir, &spec).expect("reopen: index scanned");
+
+    // flip one digit of the middle record's energy_j
+    let segment = only_segment(&dir);
+    let mut bytes = std::fs::read(&segment).expect("read segment");
+    let key = b"\"energy_j\":";
+    let starts: Vec<usize> = bytes
+        .windows(key.len())
+        .enumerate()
+        .filter(|(_, w)| *w == key)
+        .map(|(at, _)| at + key.len())
+        .collect();
+    assert_eq!(starts.len(), spec.scenario_count(), "one record per cell");
+    let digit = (starts[1]..)
+        .find(|&at| matches!(bytes[at], b'1'..=b'9'))
+        .expect("energy_j has a nonzero digit");
+    bytes[digit] = if bytes[digit] == b'9' {
+        b'1'
+    } else {
+        bytes[digit] + 1
+    };
+    std::fs::write(&segment, &bytes).expect("write flipped segment");
+
+    let load = archive.load(&spec, &spec.expand());
+    assert_eq!(load.loaded, spec.scenario_count() - 1);
+    assert_eq!(load.skipped, 1, "the changed record is rejected");
+    assert!(load.slots[1].is_none());
+    assert_eq!(load.slots[0].as_ref(), Some(&cold.result.results[0]));
+    assert_eq!(load.slots[2].as_ref(), Some(&cold.result.results[2]));
+    assert!(archive.load_cell(&spec, &spec.cell_at(1)).is_none());
+
+    let resumed = run_campaign_with(&spec, &config(2), Some(&archive)).expect("resume");
+    assert_eq!(
+        resumed.stats.executed_cells, 1,
+        "exactly the changed cell re-runs"
+    );
+    assert_eq!(
+        archive_bytes(&resumed.result),
+        archive_bytes(&cold.result),
+        "the re-run campaign is byte-identical"
+    );
+    // the re-run record replaced the rejected one in this handle's index
+    let again = run_campaign_with(&spec, &config(1), Some(&archive)).expect("second resume");
+    assert_eq!(again.stats.simulations, 0);
+    assert_eq!(archive_bytes(&again.result), archive_bytes(&cold.result));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -424,13 +424,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar
+                    // copy the whole run up to the next `"` or `\` at
+                    // once, validating only that run: both delimiters
+                    // are ASCII, so the run ends on a char boundary
                     let rest = &self.bytes[self.pos..];
-                    let s = core::str::from_utf8(rest)
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s = core::str::from_utf8(&rest[..run])
                         .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -573,6 +578,62 @@ mod tests {
         assert_eq!(v["a"][2], 3.5);
         assert_eq!(v["b"]["c"], "x\ny");
         assert_eq!(v["b"]["d"], Value::Null);
+    }
+
+    #[test]
+    fn strings_round_trip_escapes_and_multibyte_text() {
+        for s in [
+            "",
+            "plain",
+            "quote \" and backslash \\",
+            "\"\\\"\\",
+            "line\nbreak\r\ttab",
+            "\u{1}\u{1f}\u{8}\u{c}",
+            "é\"ü\\ß\nπ",
+            "\\日本語\"",
+            "🦀\u{7}🦀",
+        ] {
+            let text = Value::String(s.into()).to_json();
+            assert_eq!(
+                Value::parse(&text).unwrap(),
+                Value::String(s.into()),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn string_escapes_decode() {
+        let v =
+            Value::parse(r#"["a\"b", "c\\d", "e\nf", "\u00e9\u0041", "\/", "é\u00e9é"]"#).unwrap();
+        assert_eq!(v[0], "a\"b");
+        assert_eq!(v[1], "c\\d");
+        assert_eq!(v[2], "e\nf");
+        assert_eq!(v[3], "éA");
+        assert_eq!(v[4], "/");
+        assert_eq!(v[5], "ééé");
+        assert!(Value::parse(r#""\x""#).is_err());
+        assert!(Value::parse(r#""\u12""#).is_err());
+        assert!(Value::parse(r#""open"#).is_err());
+        assert!(Value::parse(r#""ends in \"#).is_err());
+    }
+
+    #[test]
+    fn raw_control_bytes_in_strings_stay_accepted() {
+        let v = Value::parse("\"tab\there\u{1}\nnewline\"").unwrap();
+        assert_eq!(v, "tab\there\u{1}\nnewline");
+    }
+
+    #[test]
+    fn long_string_literals_parse_in_linear_time() {
+        // a per-character rescan of the remaining input makes this
+        // quadratic: ~10^12 byte visits, which never finishes
+        let body: String = "ab\u{e9}cd".repeat(1 << 18);
+        assert!(body.len() >= 1 << 20);
+        let text = format!("[\"{body}\", \"x\\\"{body}\"]");
+        let v = Value::parse(&text).unwrap();
+        assert_eq!(v[0].as_str().unwrap().len(), body.len());
+        assert_eq!(v[1].as_str().unwrap(), format!("x\"{body}"));
     }
 
     #[test]
