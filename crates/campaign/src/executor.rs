@@ -3,9 +3,11 @@
 //! The runner no longer owns a thread loop; it dispatches independent
 //! **work units** through an [`Executor`]. Two backends exist:
 //!
-//! * [`ThreadPool`] — the in-process scoped-thread pool (self-scheduling
-//!   over an atomic counter, exactly the loop that used to live inside
-//!   `runner::parallel_map`).
+//! * [`ThreadPool`] — the in-process pool: the calling thread and up to
+//!   `parallelism − 1` scoped helper threads self-schedule over one
+//!   atomic counter. The caller always runs units itself, and helpers are
+//!   spawned only when a call has more than one unit, so a one-unit call
+//!   (a search round evaluating a single cell) spawns no thread at all.
 //! * [`WorkerPool`] — a multi-process pool: N independently spawned
 //!   `dpm worker` child processes coordinate **purely through the
 //!   campaign archive directory** (atomic lease records, see
@@ -45,12 +47,16 @@ pub trait Executor: Sync {
     fn parallelism(&self) -> usize;
 }
 
-/// The in-process backend: scoped OS threads pulling unit indices from a
-/// shared atomic counter (work stealing degenerates to self-scheduling
-/// because every unit is independent).
+/// The in-process backend: the calling thread plus scoped helper threads
+/// pulling unit indices from a shared atomic counter (work stealing
+/// degenerates to self-scheduling because every unit is independent).
+///
+/// Helpers are spawned per call, `min(parallelism, units) − 1` of them;
+/// a panicking unit propagates once every helper has been joined.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadPool {
-    /// Worker threads; `0` selects the machine's available parallelism.
+    /// Threads running units, the calling thread included; `0` selects
+    /// the machine's available parallelism.
     pub threads: usize,
 }
 
@@ -63,20 +69,24 @@ impl ThreadPool {
 
 impl Executor for ThreadPool {
     fn execute(&self, units: usize, unit: &(dyn Fn(usize) + Sync)) {
-        if units == 0 {
+        let next = AtomicUsize::new(0);
+        let drain = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= units {
+                break;
+            }
+            unit(i);
+        };
+        let helpers = self.parallelism().min(units).saturating_sub(1);
+        if helpers == 0 {
+            drain();
             return;
         }
-        let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..self.parallelism().min(units) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= units {
-                        break;
-                    }
-                    unit(i);
-                });
+            for _ in 0..helpers {
+                scope.spawn(drain);
             }
+            drain();
         });
     }
 
@@ -351,6 +361,60 @@ mod tests {
             let pool = ThreadPool::new(threads);
             let out = map_units(&pool, 33, |i| i * i);
             assert_eq!(out, (0..33).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_single_unit_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 8] {
+            let ran_on = OnceLock::new();
+            ThreadPool::new(threads).execute(1, &|_| {
+                let _ = ran_on.set(std::thread::current().id());
+            });
+            assert_eq!(ran_on.get(), Some(&caller), "width {threads}");
+        }
+    }
+
+    #[test]
+    fn the_caller_runs_units_beside_its_helpers() {
+        let caller = std::thread::current().id();
+        let pool = ThreadPool::new(2);
+        // each unit waits for the other, so neither thread can take both
+        // and the caller is sure to run one of them
+        let both = std::sync::Barrier::new(2);
+        let on_caller = AtomicUsize::new(0);
+        pool.execute(2, &|_| {
+            both.wait();
+            if std::thread::current().id() == caller {
+                on_caller.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        assert_eq!(on_caller.into_inner(), 1);
+    }
+
+    #[test]
+    fn a_panicking_unit_propagates_after_the_helpers_are_joined() {
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let finished = AtomicUsize::new(0);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.execute(9, &|i| {
+                    if i == 0 {
+                        panic!("unit 0 failed");
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }));
+            assert!(
+                outcome.is_err(),
+                "width {threads}: the panic must propagate"
+            );
+            // with helpers, every other unit has finished by the time the
+            // panic reaches the caller: no helper outlives the call. A
+            // one-wide pool stops at the panicking unit.
+            let expected = if threads == 1 { 0 } else { 8 };
+            assert_eq!(finished.into_inner(), expected, "width {threads}");
         }
     }
 

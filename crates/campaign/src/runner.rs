@@ -12,13 +12,17 @@
 //! polled from the archive, and stale leases (dead workers) are
 //! reclaimed — see [`crate::archive`] for the failure semantics.
 //!
-//! Two optimizations sit on top of that plan, both result-preserving:
+//! Three optimizations sit on top of that plan, all result-preserving:
 //!
 //! * **Baseline dedup** (on by default): cells differing only in
 //!   controller/tuning share one always-`ON1` baseline run. The SoC
 //!   builder never reads the LEM tuning for non-DPM controllers, so the
 //!   shared baseline is *byte-identical* to the one each cell would have
 //!   run itself; always-`ON1` cells reuse it for their scenario run too.
+//! * **Trace sharing**: each (workload, seed, IP count) trace set is
+//!   generated once and shared by reference (`TaskTrace` is an `Arc`) by
+//!   every simulation replaying it, carried across calls in the
+//!   [`BaselineCache`] beside the baselines.
 //! * **Archives** ([`crate::archive`]): completed cells persisted to a
 //!   campaign directory prefill their result slots on resume and are not
 //!   re-executed.
@@ -32,6 +36,7 @@ use dpm_kernel::Simulation;
 use dpm_soc::experiment::table2_row;
 use dpm_soc::{build_soc, collect_metrics, ControllerKind, SocConfig, SocMetrics};
 use dpm_units::SimTime;
+use dpm_workload::TaskTrace;
 
 use crate::archive::{CampaignArchive, LeaseConfig};
 use crate::executor::{map_units, ThreadPool};
@@ -348,8 +353,8 @@ impl RunStats {
     }
 }
 
-/// Cross-run cache of shared always-`ON1` baseline results, keyed by the
-/// axes a baseline depends on (everything but controller/tuning).
+/// Cross-run cache of shared always-`ON1` baseline results and of the
+/// generated task traces every simulation replays, bound to one spec.
 ///
 /// One exhaustive sweep computes each baseline group exactly once; a
 /// *sequence* of partial runs over the same spec — the adaptive search
@@ -358,9 +363,18 @@ impl RunStats {
 /// the sequence restores the exhaustive sharing: a group simulates on
 /// first use and is served from memory afterwards. Results are
 /// deterministic, so serving from the cache never changes any metric.
+///
+/// Baselines are keyed by the axes a baseline depends on (everything but
+/// controller/tuning) and the fidelity; traces by workload, seed and IP
+/// count, one generated set shared by reference by every simulation that
+/// replays it. Neither key holds the spec-wide parameters (master seed,
+/// horizon, starting charge), so the cache binds to the first spec it
+/// serves and starts over empty when a run hands it a different one.
 #[derive(Debug, Default)]
 pub struct BaselineCache {
+    spec: Option<CampaignSpec>,
     map: HashMap<BaselineKey, Result<SocMetrics, String>>,
+    traces: HashMap<TraceKey, Traces>,
 }
 
 impl BaselineCache {
@@ -377,6 +391,15 @@ impl BaselineCache {
     /// `true` when no group has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+
+    /// Binds the cache to `spec`, dropping everything cached for another.
+    fn bind(&mut self, spec: &CampaignSpec) {
+        if self.spec.as_ref() != Some(spec) {
+            self.map.clear();
+            self.traces.clear();
+            self.spec = Some(spec.clone());
+        }
     }
 }
 
@@ -437,6 +460,17 @@ fn baseline_key(cell: &ScenarioSpec, fidelity: Fidelity) -> BaselineKey {
     )
 }
 
+/// The axes a cell's task traces depend on within one spec
+/// ([`ScenarioSpec::traces`]).
+type TraceKey = (WorkloadAxis, u64, usize);
+
+fn trace_key(cell: &ScenarioSpec) -> TraceKey {
+    (cell.workload, cell.seed, cell.ip_count)
+}
+
+/// A cell's generated traces, or the panic message of their generator.
+type Traces = Result<Vec<TaskTrace>, String>;
+
 /// Shared progress line over the phases of one run: bumps a counter and
 /// rewrites the stderr line each time a simulation unit finishes.
 struct Progress {
@@ -470,12 +504,33 @@ fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_message(p.as_ref()))
 }
 
+/// Runs `cell` — or, with `baseline`, its always-`ON1` baseline — on its
+/// shared `traces`. A failed trace generation fails the run with the
+/// generator's panic message, exactly as generating inside the run would.
+fn evaluate(
+    spec: &CampaignSpec,
+    cell: &ScenarioSpec,
+    traces: &Traces,
+    baseline: bool,
+    fidelity: Fidelity,
+) -> Result<SocMetrics, String> {
+    let traces = traces.as_ref().map_err(String::clone)?;
+    caught(|| {
+        let mut cfg = cell.config_from(spec, traces);
+        if baseline {
+            cfg = cfg.with_controller(ControllerKind::AlwaysOn);
+        }
+        run_to_metrics(&cfg, spec.horizon(), fidelity)
+    })
+}
+
 /// Executes one fresh cell, optionally against a pre-run shared baseline.
 /// Error precedence mirrors the non-dedup path (scenario run first, then
 /// baseline), so dedup on/off produce identical results even on panics.
 fn execute_cell(
     spec: &CampaignSpec,
     cell: &ScenarioSpec,
+    traces: &Traces,
     shared_baseline: Option<&Result<SocMetrics, String>>,
     fidelity: Fidelity,
     sims: &AtomicUsize,
@@ -487,19 +542,10 @@ fn execute_cell(
             // count each run as it starts: a panicking scenario run
             // never reaches its baseline run
             sims.fetch_add(1, Ordering::Relaxed);
-            caught(|| {
-                let cfg = cell.build_config(spec);
-                run_to_metrics(&cfg, horizon, fidelity)
-            })
-            .and_then(|dpm| {
+            evaluate(spec, cell, traces, false, fidelity).and_then(|dpm| {
                 sims.fetch_add(1, Ordering::Relaxed);
-                caught(|| {
-                    let baseline_cfg = cell
-                        .build_config(spec)
-                        .with_controller(ControllerKind::AlwaysOn);
-                    run_to_metrics(&baseline_cfg, horizon, fidelity)
-                })
-                .map(|baseline| ScenarioMetrics::from_runs(&dpm, &baseline, horizon))
+                evaluate(spec, cell, traces, true, fidelity)
+                    .map(|baseline| ScenarioMetrics::from_runs(&dpm, &baseline, horizon))
             })
         }
         Some(Ok(baseline)) if cell.controller == ControllerAxis::AlwaysOn => {
@@ -510,11 +556,8 @@ fn execute_cell(
         }
         Some(Ok(baseline)) => {
             sims.fetch_add(1, Ordering::Relaxed);
-            caught(|| {
-                let cfg = cell.build_config(spec);
-                run_to_metrics(&cfg, horizon, fidelity)
-            })
-            .map(|dpm| ScenarioMetrics::from_runs(&dpm, baseline, horizon))
+            evaluate(spec, cell, traces, false, fidelity)
+                .map(|dpm| ScenarioMetrics::from_runs(&dpm, baseline, horizon))
         }
         Some(Err(baseline_err)) => {
             // the baseline panicked; without dedup the scenario run would
@@ -525,10 +568,7 @@ fn execute_cell(
                 Err(baseline_err.clone())
             } else {
                 sims.fetch_add(1, Ordering::Relaxed);
-                match caught(|| {
-                    let cfg = cell.build_config(spec);
-                    run_to_metrics(&cfg, horizon, fidelity)
-                }) {
+                match evaluate(spec, cell, traces, false, fidelity) {
                     Ok(_) => Err(baseline_err.clone()),
                     Err(scenario_err) => Err(scenario_err),
                 }
@@ -578,10 +618,11 @@ pub fn run_campaign_with(
 /// **grid** index, so batches and exhaustive sweeps share one cache.
 ///
 /// An optional [`BaselineCache`] carries shared always-`ON1` baselines
-/// across calls: groups already cached are served from memory instead of
-/// re-simulating, which restores exhaustive-sweep sharing to a sequence
-/// of batches. All determinism guarantees of [`run_campaign_with`] hold
-/// per batch.
+/// and generated traces across calls: groups already cached are served
+/// from memory instead of re-simulating, which restores exhaustive-sweep
+/// sharing to a sequence of batches. A cache last used with a different
+/// spec is emptied first. All determinism guarantees of
+/// [`run_campaign_with`] hold per batch.
 ///
 /// # Errors
 ///
@@ -596,6 +637,9 @@ pub fn run_cells_with(
     cache: Option<&mut BaselineCache>,
 ) -> Result<CampaignRun, String> {
     spec.validate()?;
+    let mut local_cache = BaselineCache::new();
+    let cache = cache.unwrap_or(&mut local_cache);
+    cache.bind(spec);
     match (&config.lease, archive) {
         (Some(lease), Some(a)) => run_cells_leased(spec, cells, config, &lease.clone(), a, cache),
         (Some(_), None) => Err("lease coordination needs a campaign directory \
@@ -611,14 +655,15 @@ pub fn run_cells_with(
 type UnitHook<'a> = Option<&'a (dyn Fn() + Sync)>;
 
 /// The single-process execution path: resume from the archive, run the
-/// missing cells on the configured [`ThreadPool`] executor (shared
-/// baselines first, then the cells), store fresh records.
+/// missing cells on the configured [`ThreadPool`] executor (traces not
+/// yet cached first, then shared baselines, then the cells), store fresh
+/// records. `cache` is already bound to `spec`.
 fn run_cells_local(
     spec: &CampaignSpec,
     cells: &[ScenarioSpec],
     config: &RunnerConfig,
     archive: Option<&CampaignArchive>,
-    cache: Option<&mut BaselineCache>,
+    cache: &mut BaselineCache,
     on_unit: UnitHook<'_>,
 ) -> Result<CampaignRun, String> {
     let total = cells.len();
@@ -663,16 +708,22 @@ fn run_cells_local(
 
     // groups already in the cross-call cache are served from memory;
     // only the rest simulate
-    let mut baselines: Vec<Option<Result<SocMetrics, String>>> = match &cache {
-        Some(c) => groups
-            .iter()
-            .map(|g| c.map.get(&baseline_key(g, config.fidelity)).cloned())
-            .collect(),
-        None => vec![None; groups.len()],
-    };
     let to_run: Vec<usize> = (0..groups.len())
-        .filter(|&g| baselines[g].is_none())
+        .filter(|&g| {
+            !cache
+                .map
+                .contains_key(&baseline_key(&groups[g], config.fidelity))
+        })
         .collect();
+    // every missing cell replays its key's traces; keys not yet cached
+    // generate first, one unit each
+    let mut new_keys: Vec<(TraceKey, &ScenarioSpec)> = Vec::new();
+    for &i in &missing {
+        let key = trace_key(&cells[i]);
+        if !cache.traces.contains_key(&key) && new_keys.iter().all(|(k, _)| *k != key) {
+            new_keys.push((key, &cells[i]));
+        }
+    }
 
     let work = to_run.len() + missing.len();
     let pool = ThreadPool::new(config.effective_threads().min(work.max(1)));
@@ -692,22 +743,33 @@ fn run_cells_local(
     let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let archive_broken = std::sync::atomic::AtomicBool::new(false);
 
-    // phase A: shared baselines (build_config inside the catch — a
-    // panicking trace generator must fail the group's cells, not the
-    // whole campaign, exactly as it would without dedup)
+    // generation runs inside the catch: a panicking trace generator must
+    // fail the cells of its key, not the whole campaign, with the message
+    // it would give generating inside each run
+    let fresh_traces: Vec<Traces> = map_units(&pool, new_keys.len(), |k| {
+        caught(|| new_keys[k].1.traces(spec))
+    });
+    cache
+        .traces
+        .extend(new_keys.into_iter().map(|(key, _)| key).zip(fresh_traces));
+    let traces = &cache.traces;
+
+    // phase A: shared baselines
     let fresh_baselines: Vec<Result<SocMetrics, String>> = map_units(&pool, to_run.len(), |k| {
+        let group = &groups[to_run[k]];
         let counter = if group_spec[to_run[k]] {
             spec_sims
         } else {
             sims
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        let out = caught(|| {
-            let cfg = groups[to_run[k]]
-                .build_config(spec)
-                .with_controller(ControllerKind::AlwaysOn);
-            run_to_metrics(&cfg, spec.horizon(), config.fidelity)
-        });
+        let out = evaluate(
+            spec,
+            group,
+            &traces[&trace_key(group)],
+            true,
+            config.fidelity,
+        );
         progress.tick();
         if let Some(hook) = on_unit {
             hook();
@@ -715,28 +777,30 @@ fn run_cells_local(
         out
     });
     for (k, result) in fresh_baselines.into_iter().enumerate() {
-        baselines[to_run[k]] = Some(result);
+        cache
+            .map
+            .insert(baseline_key(&groups[to_run[k]], config.fidelity), result);
     }
-    let baselines: Vec<Result<SocMetrics, String>> = baselines
-        .into_iter()
-        .map(|b| b.expect("every baseline group is resolved"))
+    let baselines: Vec<&Result<SocMetrics, String>> = groups
+        .iter()
+        .map(|g| &cache.map[&baseline_key(g, config.fidelity)])
         .collect();
-    if let Some(c) = cache {
-        for &g in &to_run {
-            c.map.insert(
-                baseline_key(&groups[g], config.fidelity),
-                baselines[g].clone(),
-            );
-        }
-    }
 
     // phase B: the cells themselves (storing fresh results as they land,
     // so a killed sweep keeps everything finished so far)
     let fresh: Vec<ScenarioResult> = map_units(&pool, missing.len(), |k| {
         let cell = &cells[missing[k]];
-        let baseline = config.dedup_baselines.then(|| &baselines[cell_group[k]]);
+        let baseline = config.dedup_baselines.then(|| baselines[cell_group[k]]);
         let counter = if is_spec[missing[k]] { spec_sims } else { sims };
-        let result = execute_cell(spec, cell, baseline, config.fidelity, counter, &reused);
+        let result = execute_cell(
+            spec,
+            cell,
+            &traces[&trace_key(cell)],
+            baseline,
+            config.fidelity,
+            counter,
+            &reused,
+        );
         if let Some(a) = archive {
             if !archive_broken.load(Ordering::Relaxed) {
                 if let Err(e) = a.store_as(spec, &result, config.fidelity) {
@@ -821,7 +885,7 @@ fn run_cells_leased(
     config: &RunnerConfig,
     lease_cfg: &LeaseConfig,
     archive: &CampaignArchive,
-    cache: Option<&mut BaselineCache>,
+    cache: &mut BaselineCache,
 ) -> Result<CampaignRun, String> {
     let total = cells.len();
     let is_spec = speculative_flags(cells, config);
@@ -837,13 +901,9 @@ fn run_cells_leased(
     };
     let mut archive_errors = Vec::new();
 
-    // one baseline cache across every claimed batch, so a sequence of
-    // group batches shares baselines the way one exhaustive sweep would
-    let mut local_cache = BaselineCache::new();
-    let cache: &mut BaselineCache = match cache {
-        Some(c) => c,
-        None => &mut local_cache,
-    };
+    // one cache across every claimed batch, so a sequence of group
+    // batches shares baselines and traces the way one exhaustive sweep
+    // would
     let mut inner = config.clone();
     inner.lease = None; // the batches below run on the local path
     let mut backoff = crate::worker::PollBackoff::new(lease_cfg.poll_ms);
@@ -948,7 +1008,7 @@ fn run_cells_leased(
                         &batch,
                         &inner,
                         Some(archive),
-                        Some(cache),
+                        cache,
                         Some(&refresher),
                     )?;
                     stats.archived_cells += run.stats.archived_cells;
@@ -1171,6 +1231,35 @@ mod tests {
             },
         );
         assert_eq!(run.result, parallel);
+    }
+
+    #[test]
+    fn a_failed_trace_generation_fails_each_run_with_its_message() {
+        let spec = tiny_spec();
+        let failed: Traces = Err("generator failed".into());
+        let baseline_err: Result<SocMetrics, String> = Err("generator failed".into());
+        for cell in spec.expand() {
+            for shared in [None, Some(&baseline_err)] {
+                let sims = AtomicUsize::new(0);
+                let reused = AtomicUsize::new(0);
+                let result = execute_cell(
+                    &spec,
+                    &cell,
+                    &failed,
+                    shared,
+                    Fidelity::Fine,
+                    &sims,
+                    &reused,
+                );
+                assert_eq!(result.error.as_deref(), Some("generator failed"));
+                assert!(result.metrics.is_none());
+                // the failed run is counted as it starts, as before
+                let always_on_shared =
+                    shared.is_some() && cell.controller == ControllerAxis::AlwaysOn;
+                let expected = if always_on_shared { 0 } else { 1 };
+                assert_eq!(sims.into_inner(), expected, "{cell}");
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@ use dpm_soc::experiment::{
 };
 use dpm_soc::{BatteryKind, ControllerKind, IpConfig, LemTuning, SocConfig, ThermalScenario};
 use dpm_units::{Power, SimDuration, SimTime};
-use dpm_workload::{ActivityLevel, BurstyGenerator, PriorityWeights, SeedSequence, TraceGenerator};
+use dpm_workload::{
+    ActivityLevel, BurstyGenerator, PriorityWeights, SeedSequence, TaskTrace, TraceGenerator,
+};
 
 /// Controller axis values (the policy families of the paper plus the
 /// classic baselines).
@@ -597,26 +599,46 @@ impl ScenarioSpec {
         )
     }
 
-    /// Builds the concrete [`SocConfig`] for this cell.
+    /// Builds the concrete [`SocConfig`] for this cell: its
+    /// [`traces`](Self::traces) composed with
+    /// [`config_from`](Self::config_from).
+    pub fn build_config(&self, spec: &CampaignSpec) -> SocConfig {
+        self.config_from(spec, &self.traces(spec))
+    }
+
+    /// Generates this cell's task traces, one per IP.
     ///
     /// Trace seeds derive from `(master_seed, logical seed, ip index)`
     /// through [`SeedSequence`], so the same cell always replays the same
-    /// arrivals no matter which thread builds it.
-    pub fn build_config(&self, spec: &CampaignSpec) -> SocConfig {
+    /// arrivals no matter which thread builds it. The traces depend only
+    /// on the spec's master seed and horizon and on the cell's workload,
+    /// seed and IP count, so every cell sharing those can replay one
+    /// generated set.
+    pub fn traces(&self, spec: &CampaignSpec) -> Vec<TaskTrace> {
         let horizon = spec.horizon();
         let generator = self.workload.generator();
         let seeds = SeedSequence::new(spec.master_seed).derive(self.seed);
+        (0..self.ip_count)
+            .map(|i| generator.generate(horizon, seeds.stream(i as u64)))
+            .collect()
+    }
+
+    /// Builds this cell's [`SocConfig`] around already generated
+    /// `traces` (one per IP, as [`traces`](Self::traces) returns them).
+    /// The config shares the traces' storage rather than copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `traces` does not hold one trace per IP.
+    pub fn config_from(&self, spec: &CampaignSpec, traces: &[TaskTrace]) -> SocConfig {
+        assert_eq!(traces.len(), self.ip_count, "one trace per IP");
         let mut cfg = if self.ip_count == 1 {
-            SocConfig::single_ip(generator.generate(horizon, seeds.stream(0)))
+            SocConfig::single_ip(traces[0].clone())
         } else {
-            let ips = (0..self.ip_count)
-                .map(|i| {
-                    IpConfig::new(
-                        format!("ip{i}"),
-                        generator.generate(horizon, seeds.stream(i as u64)),
-                        i as u8 + 1,
-                    )
-                })
+            let ips = traces
+                .iter()
+                .enumerate()
+                .map(|(i, trace)| IpConfig::new(format!("ip{i}"), trace.clone(), i as u8 + 1))
                 .collect();
             SocConfig::multi_ip(ips)
         };
@@ -688,6 +710,36 @@ mod tests {
             let b = cell.build_config(&spec);
             a.validate();
             assert_eq!(a, b, "config construction must be pure");
+        }
+    }
+
+    #[test]
+    fn configs_from_shared_traces_equal_built_configs() {
+        let toml = include_str!("../../../specs/exploration.toml");
+        let exploration = CampaignSpec::from_toml(toml).expect("shipped spec parses");
+        for spec in [CampaignSpec::default_sweep(), exploration] {
+            for cell in spec.expand() {
+                let traces = cell.traces(&spec);
+                assert_eq!(traces.len(), cell.ip_count);
+                assert_eq!(
+                    cell.config_from(&spec, &traces),
+                    cell.build_config(&spec),
+                    "{cell}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn configs_share_the_storage_of_their_traces() {
+        let spec = CampaignSpec::default_sweep();
+        let cell = spec.cell_at(spec.scenario_count() - 1);
+        let traces = cell.traces(&spec);
+        let a = cell.config_from(&spec, &traces);
+        let b = cell.config_from(&spec, &traces);
+        for ((x, y), t) in a.ips.iter().zip(&b.ips).zip(&traces) {
+            assert_eq!(x.trace.tasks().as_ptr(), t.tasks().as_ptr());
+            assert_eq!(y.trace.tasks().as_ptr(), t.tasks().as_ptr());
         }
     }
 

@@ -4,8 +4,8 @@
 //! [`RunStats`] hook).
 
 use dpm_campaign::{
-    campaign_json, run_campaign_with, summarize, BatteryAxis, CampaignRun, CampaignSpec,
-    ControllerAxis, RunnerConfig, ThermalAxis, TuningAxis, WorkloadAxis,
+    campaign_json, run_campaign_with, run_cells_with, summarize, BaselineCache, BatteryAxis,
+    CampaignRun, CampaignSpec, ControllerAxis, RunnerConfig, ThermalAxis, TuningAxis, WorkloadAxis,
 };
 
 /// A controller×tuning-heavy grid: 4 controllers × 2 tunings over a
@@ -98,4 +98,39 @@ fn multi_ip_groups_dedup_too() {
     assert_eq!(with.stats.baseline_groups, 2);
     assert_eq!(with.stats.simulations, 2 + 2);
     assert_eq!(without.stats.simulations, 8);
+}
+
+#[test]
+fn a_baseline_cache_never_serves_another_specs_results() {
+    // the cache keys hold neither the master seed, the horizon nor the
+    // starting charge: a cache filled on one spec and handed a spec that
+    // differs only there must start over, not serve stale baselines
+    let mut spec = CampaignSpec::default_sweep();
+    spec.horizon_ms = 20;
+    let cells = spec.expand();
+    let config = RunnerConfig::default();
+    let mut cache = BaselineCache::new();
+    run_cells_with(&spec, &cells, &config, None, Some(&mut cache)).expect("valid spec");
+    assert!(!cache.is_empty());
+
+    let mut variants = Vec::new();
+    for change in 0..3 {
+        let mut other = spec.clone();
+        match change {
+            0 => other.master_seed += 1,
+            1 => other.horizon_ms += 4,
+            _ => other.initial_soc = 0.22,
+        }
+        variants.push(other);
+    }
+    for other in variants.iter().chain([&spec]) {
+        let cells = other.expand();
+        let reused = run_cells_with(other, &cells, &config, None, Some(&mut cache))
+            .expect("valid spec")
+            .result;
+        let fresh = run_cells_with(other, &cells, &config, None, None)
+            .expect("valid spec")
+            .result;
+        assert_eq!(reused, fresh, "a reused cache changed the results");
+    }
 }

@@ -164,6 +164,17 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
+impl<T: Serialize> Serialize for std::sync::Arc<[T]> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+impl<T: Deserialize> Deserialize for std::sync::Arc<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::<T>::from_value(v).map(Into::into)
+    }
+}
+
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
@@ -220,5 +231,29 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn shared_slices_round_trip_like_vectors() {
+        let shared: Arc<[u32]> = vec![3, 1, 4, 1, 5].into();
+        let value = shared.to_value();
+        assert_eq!(value, vec![3u32, 1, 4, 1, 5].to_value());
+        let back = Arc::<[u32]>::from_value(&value).unwrap();
+        assert_eq!(back, shared);
+
+        let empty: Arc<[String]> = Arc::from(Vec::new());
+        assert_eq!(
+            Arc::<[String]>::from_value(&empty.to_value()).unwrap(),
+            empty
+        );
+
+        let err = Arc::<[u32]>::from_value(&Value::Bool(true)).unwrap_err();
+        assert!(err.to_string().contains("array"), "{err}");
     }
 }

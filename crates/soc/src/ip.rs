@@ -65,7 +65,7 @@ struct Exec {
 pub struct IpBlock {
     ports: IpPorts,
     model: IpPowerModel,
-    trace: Vec<TaskSpec>,
+    trace: TaskTrace,
     next_arrival: usize,
     arrival: EventId,
     exec_done: EventId,
@@ -91,7 +91,7 @@ impl IpBlock {
         let ip = IpBlock {
             ports,
             model,
-            trace: trace.tasks().to_vec(),
+            trace: trace.clone(),
             next_arrival: 0,
             arrival,
             exec_done,
@@ -138,7 +138,7 @@ impl IpBlock {
     }
 
     fn schedule_next_arrival(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(spec) = self.trace.get(self.next_arrival) {
+        if let Some(spec) = self.trace.tasks().get(self.next_arrival) {
             let delay = spec.arrival.saturating_duration_since(ctx.now());
             ctx.notify(self.arrival, delay);
         }
@@ -225,7 +225,7 @@ impl Process for IpBlock {
     fn react(&mut self, ctx: &mut Ctx<'_>) {
         // 1. new arrivals -> send the execution request to the LEM
         if ctx.triggered(self.arrival) {
-            let spec = self.trace[self.next_arrival];
+            let spec = self.trace.tasks()[self.next_arrival];
             self.next_arrival += 1;
             ctx.fifo_push(self.ports.requests, TaskRequest { spec })
                 .unwrap_or_else(|_| panic!("request fifo overflow"));

@@ -1,5 +1,7 @@
 //! Pre-generated task sequences and their statistics.
 
+use std::sync::Arc;
+
 use dpm_units::{SimDuration, SimTime};
 
 use crate::task::TaskSpec;
@@ -9,9 +11,14 @@ use crate::task::TaskSpec;
 /// Traces are generated before simulation so the DPM run and the
 /// always-max-frequency baseline replay identical arrivals, and they can
 /// be saved/loaded as JSON for regression pinning.
+///
+/// A trace is immutable once built, so its tasks sit behind an [`Arc`]:
+/// a clone shares the storage, and every simulation replaying one trace
+/// (a DPM run and its baseline, every cell of a sweep with the same
+/// workload and seed) reads the same tasks.
 #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct TaskTrace {
-    tasks: Vec<TaskSpec>,
+    tasks: Arc<[TaskSpec]>,
 }
 
 /// Summary statistics of a trace.
@@ -46,7 +53,9 @@ impl TaskTrace {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), tasks.len(), "duplicate task ids in trace");
-        Self { tasks }
+        Self {
+            tasks: tasks.into(),
+        }
     }
 
     /// The tasks in arrival order.
@@ -108,7 +117,7 @@ impl TaskTrace {
     /// re-sorted and re-validated.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let raw: TaskTrace = serde_json::from_str(json)?;
-        Ok(Self::from_tasks(raw.tasks))
+        Ok(Self::from_tasks(raw.tasks.to_vec()))
     }
 }
 
@@ -182,6 +191,14 @@ mod tests {
         let json = trace.to_json().unwrap();
         let back = TaskTrace::from_json(&json).unwrap();
         assert_eq!(back, trace);
+    }
+
+    #[test]
+    fn clones_share_their_tasks() {
+        let trace = TaskTrace::from_tasks(vec![task(1, 5, 10), task(2, 15, 20)]);
+        let clone = trace.clone();
+        assert_eq!(clone, trace);
+        assert_eq!(clone.tasks().as_ptr(), trace.tasks().as_ptr());
     }
 
     #[test]
