@@ -20,7 +20,7 @@
 //! New records are **appended to segment files** — length-prefixed,
 //! checksummed frames in `segments/seg-NNNN.log`, one private segment
 //! per writing process — and located through an in-memory index built
-//! on open (see [`crate::segment`]). Archives written by older versions
+//! on open (the `segment` module's DPS1 format). Archives written by older versions
 //! store one JSON file per cell under `cells/`; those records are read
 //! transparently wherever the segment index misses, so a legacy archive
 //! resumes without migration. [`CampaignArchive::compact`] rewrites all
@@ -570,9 +570,10 @@ impl CampaignArchive {
     }
 
     /// Loads `group`'s stored shared baseline at `fidelity`, if a valid
-    /// one exists (see [`BaselineRecord`]): a missing, foreign or
-    /// corrupt file just means the caller simulates the baseline
-    /// itself, exactly as before baselines were persisted.
+    /// one exists (a record stamped with this archive version, spec
+    /// fingerprint, group and fidelity): a missing, foreign or corrupt
+    /// file just means the caller simulates the baseline itself, exactly
+    /// as before baselines were persisted.
     pub fn load_baseline(&self, group: usize, fidelity: Fidelity) -> Option<dpm_soc::SocMetrics> {
         let text = std::fs::read_to_string(self.baseline_path(group, fidelity)).ok()?;
         match serde_json::from_str::<BaselineRecord>(&text) {

@@ -18,7 +18,7 @@
 //! Everything here is pure protocol: no routing, no campaign knowledge.
 //! [`crate::server`] supplies those.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -102,6 +102,9 @@ impl std::fmt::Display for HttpError {
 
 /// Reads one request off a stream, answering `Expect: 100-continue`
 /// in-line so clients that wait for the interim response make progress.
+/// The stream is read through one buffer, so a request costs a few
+/// `read` calls rather than one per byte; bytes buffered past the body
+/// are dropped (one request per connection).
 ///
 /// # Errors
 ///
@@ -109,7 +112,8 @@ impl std::fmt::Display for HttpError {
 /// protocol violations, [`HttpError::TooLarge`] when the declared body
 /// exceeds [`MAX_BODY_BYTES`], [`HttpError::Io`] on socket failure.
 pub fn read_request<S: Read + Write>(stream: &mut S) -> Result<Request, HttpError> {
-    let request_line = match read_line(stream)? {
+    let mut reader = BufReader::new(stream);
+    let request_line = match read_line(&mut reader)? {
         Some(line) => line,
         None => return Err(HttpError::Closed),
     };
@@ -132,7 +136,7 @@ pub fn read_request<S: Read + Write>(stream: &mut S) -> Result<Request, HttpErro
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line(stream)?
+        let line = read_line(&mut reader)?
             .ok_or_else(|| HttpError::Malformed("connection closed inside headers".into()))?;
         if line.is_empty() {
             break;
@@ -159,13 +163,14 @@ pub fn read_request<S: Read + Write>(stream: &mut S) -> Result<Request, HttpErro
         .iter()
         .any(|(n, v)| n == "expect" && v.eq_ignore_ascii_case("100-continue"));
     if expects_continue && content_length > 0 {
+        let stream = reader.get_mut();
         stream
             .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
             .and_then(|()| stream.flush())
             .map_err(HttpError::Io)?;
     }
     let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).map_err(|e| {
+    reader.read_exact(&mut body).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             HttpError::Malformed("connection closed inside body".into())
         } else {
@@ -202,35 +207,37 @@ pub fn read_request<S: Read + Write>(stream: &mut S) -> Result<Request, HttpErro
     })
 }
 
-/// Reads one CRLF (or bare-LF) terminated line; `None` on clean EOF
-/// before any byte.
-fn read_line<S: Read>(stream: &mut S) -> Result<Option<String>, HttpError> {
+/// Reads one CRLF (or bare-LF) terminated line of at most
+/// `MAX_LINE_BYTES` bytes before the LF; `None` on clean EOF before any
+/// byte.
+fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, HttpError> {
     let mut line = Vec::new();
-    let mut byte = [0u8; 1];
     loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::Malformed("connection closed mid-line".into()));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return String::from_utf8(line)
-                        .map(Some)
-                        .map_err(|_| HttpError::Malformed("non-UTF-8 header line".into()));
-                }
-                if line.len() >= MAX_LINE_BYTES {
-                    return Err(HttpError::Malformed("header line too long".into()));
-                }
-                line.push(byte[0]);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(HttpError::Io(e)),
+        };
+        if available.is_empty() {
+            if line.is_empty() {
+                return Ok(None);
+            }
+            return Err(HttpError::Malformed("connection closed mid-line".into()));
+        }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(available.len());
+        if line.len() + take > MAX_LINE_BYTES {
+            return Err(HttpError::Malformed("header line too long".into()));
+        }
+        line.extend_from_slice(&available[..take]);
+        reader.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            return String::from_utf8(line)
+                .map(Some)
+                .map_err(|_| HttpError::Malformed("non-UTF-8 header line".into()));
         }
     }
 }
@@ -272,7 +279,7 @@ pub fn status_reason(status: u16) -> &'static str {
 }
 
 /// Writes a complete response (`Content-Length`-framed, connection
-/// closing) and flushes.
+/// closing) in one `write_all` and flushes.
 ///
 /// # Errors
 ///
@@ -283,13 +290,14 @@ pub fn write_response<S: Write>(
     content_type: &str,
     body: &[u8],
 ) -> std::io::Result<()> {
-    write!(
-        stream,
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         status_reason(status),
         body.len(),
-    )?;
-    stream.write_all(body)?;
+    )
+    .into_bytes();
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 
@@ -325,9 +333,9 @@ pub fn write_error<S: Write>(stream: &mut S, status: u16, message: &str) -> std:
 
 /// A chunked (`Transfer-Encoding: chunked`) response in progress — the
 /// event stream's transport. Construction writes the header; each
-/// [`ChunkedWriter::chunk`] flushes one frame so long-poll clients see
-/// events as they happen; [`ChunkedWriter::finish`] writes the final
-/// zero-length chunk.
+/// [`ChunkedWriter::chunk`] writes one frame in one `write_all` and
+/// flushes it so long-poll clients see events as they happen;
+/// [`ChunkedWriter::finish`] writes the final zero-length chunk.
 #[derive(Debug)]
 pub struct ChunkedWriter<S: Write> {
     stream: S,
@@ -340,11 +348,11 @@ impl<S: Write> ChunkedWriter<S> {
     ///
     /// Propagates socket errors.
     pub fn begin(mut stream: S, status: u16, content_type: &str) -> std::io::Result<Self> {
-        write!(
-            stream,
+        let header = format!(
             "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status_reason(status),
-        )?;
+        );
+        stream.write_all(header.as_bytes())?;
         stream.flush()?;
         Ok(Self { stream })
     }
@@ -360,9 +368,10 @@ impl<S: Write> ChunkedWriter<S> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
+        let mut frame = format!("{:x}\r\n", data.len()).into_bytes();
+        frame.extend_from_slice(data);
+        frame.extend_from_slice(b"\r\n");
+        self.stream.write_all(&frame)?;
         self.stream.flush()
     }
 
@@ -451,30 +460,46 @@ impl BoundedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// A test double: reads from a script, records writes.
+    /// A test double: reads from a script at most `max_read` bytes per
+    /// call, records writes, and counts both calls (each is one syscall
+    /// on a socket).
     struct Wire {
         input: std::io::Cursor<Vec<u8>>,
+        max_read: usize,
         output: Vec<u8>,
+        reads: usize,
+        writes: usize,
     }
 
     impl Wire {
         fn new(script: &str) -> Self {
+            Self::from_bytes(script.as_bytes().to_vec(), usize::MAX)
+        }
+
+        fn from_bytes(input: Vec<u8>, max_read: usize) -> Self {
             Self {
-                input: std::io::Cursor::new(script.as_bytes().to_vec()),
+                input: std::io::Cursor::new(input),
+                max_read,
                 output: Vec::new(),
+                reads: 0,
+                writes: 0,
             }
         }
     }
 
     impl Read for Wire {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.input.read(buf)
+            self.reads += 1;
+            let n = buf.len().min(self.max_read);
+            self.input.read(&mut buf[..n])
         }
     }
 
     impl Write for Wire {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
             self.output.extend_from_slice(buf);
             Ok(buf.len())
         }
@@ -528,6 +553,66 @@ mod tests {
         ));
         let mut wire = Wire::new("");
         assert!(matches!(read_request(&mut wire), Err(HttpError::Closed)));
+    }
+
+    #[test]
+    fn a_request_costs_a_bounded_number_of_reads() {
+        let mut wire = Wire::new(
+            "GET /campaigns/c-1/report?format=json HTTP/1.1\r\nHost: localhost:8080\r\n\
+             User-Agent: curl/8.0\r\nAccept: */*\r\n\r\n",
+        );
+        read_request(&mut wire).unwrap();
+        assert!(wire.reads <= 2, "{} reads for one GET", wire.reads);
+
+        let body = "x".repeat(20_000);
+        let mut wire = Wire::new(&format!(
+            "POST /campaigns HTTP/1.1\r\nContent-Length: {}\r\nExpect: 100-continue\r\n\r\n{body}",
+            body.len()
+        ));
+        let req = read_request(&mut wire).unwrap();
+        assert_eq!(req.body.len(), body.len());
+        assert!(wire.reads <= 4, "{} reads for one POST", wire.reads);
+        assert_eq!(wire.writes, 1, "the 100 Continue reply is one write");
+    }
+
+    #[test]
+    fn every_response_and_chunk_is_one_write() {
+        let mut wire = Wire::new("");
+        write_json(&mut wire, 200, &"x".repeat(10_000)).unwrap();
+        assert_eq!(wire.writes, 1);
+        let mut wire = Wire::new("");
+        write_error(&mut wire, 404, "no such campaign").unwrap();
+        assert_eq!(wire.writes, 1);
+
+        let mut wire = Wire::new("");
+        let mut w = ChunkedWriter::begin(&mut wire, 200, "application/x-ndjson").unwrap();
+        w.chunk(b"{\"seq\":0}\n").unwrap();
+        w.chunk(b"{\"seq\":1}\n").unwrap();
+        w.finish().unwrap();
+        assert_eq!(wire.writes, 4, "header, two chunks, terminator");
+    }
+
+    #[test]
+    fn line_and_header_caps_are_exact() {
+        let request = |header_line: &str, extra_headers: usize| {
+            let mut text = format!("GET / HTTP/1.1\r\n{header_line}\r\n");
+            for i in 0..extra_headers {
+                text.push_str(&format!("X-{i}: v\r\n"));
+            }
+            text.push_str("\r\n");
+            read_request(&mut Wire::from_bytes(text.into_bytes(), 7))
+        };
+        // the cap counts every byte before the LF, CR included
+        let at_cap = format!("X: {}", "a".repeat(MAX_LINE_BYTES - 4));
+        assert!(request(&at_cap, 0).is_ok());
+        let over = format!("X: {}", "a".repeat(MAX_LINE_BYTES - 3));
+        assert!(
+            matches!(request(&over, 0), Err(HttpError::Malformed(m)) if m.contains("too long"))
+        );
+        assert!(request("X: v", MAX_HEADERS - 1).is_ok());
+        assert!(
+            matches!(request("X: v", MAX_HEADERS), Err(HttpError::Malformed(m)) if m.contains("too many"))
+        );
     }
 
     #[test]
@@ -595,5 +680,268 @@ mod tests {
         }
         pool.shutdown(); // joins: all submitted connections handled
         assert_eq!(handled.load(Ordering::SeqCst), CONNS);
+    }
+
+    /// A `(raw, parsed)` pair: the bytes sent and what the parser must
+    /// make of them.
+    type Token = (&'static str, &'static str);
+
+    /// A well-formed request, built from parts whose decoded form is
+    /// known, so the parse of its bytes can be checked field by field.
+    #[derive(Debug, Clone)]
+    struct Sample {
+        method: &'static str,
+        /// Path segments (parsed: percent-decoded).
+        segments: Vec<Token>,
+        /// Query keys and values (parsed: decoded).
+        query: Vec<(Token, Token)>,
+        /// Header names and values (parsed: lower-cased, trimmed).
+        headers: Vec<(Token, Token)>,
+        body: Vec<u8>,
+        crlf: bool,
+        expect_continue: bool,
+    }
+
+    impl Sample {
+        /// The request bytes declaring `declared` body bytes, and the
+        /// length of the head (request line + headers + blank line).
+        fn render(&self, declared: u64) -> (Vec<u8>, usize) {
+            let eol = if self.crlf { "\r\n" } else { "\n" };
+            let mut target = String::from("/");
+            target.push_str(
+                &self
+                    .segments
+                    .iter()
+                    .map(|s| s.0)
+                    .collect::<Vec<_>>()
+                    .join("/"),
+            );
+            if !self.query.is_empty() {
+                target.push('?');
+                let pairs: Vec<String> = self
+                    .query
+                    .iter()
+                    .map(|(k, v)| format!("{}={}", k.0, v.0))
+                    .collect();
+                target.push_str(&pairs.join("&"));
+            }
+            let mut head = format!("{} {target} HTTP/1.1{eol}", self.method);
+            for ((name, _), (value, _)) in &self.headers {
+                head.push_str(&format!("{name}:{value}{eol}"));
+            }
+            head.push_str(&format!("Content-Length: {declared}{eol}"));
+            if self.expect_continue {
+                head.push_str(&format!("Expect: 100-continue{eol}"));
+            }
+            head.push_str(eol);
+            let mut bytes = head.into_bytes();
+            let head_len = bytes.len();
+            bytes.extend_from_slice(&self.body);
+            (bytes, head_len)
+        }
+
+        fn expected(&self) -> Request {
+            let mut headers: Vec<(String, String)> = self
+                .headers
+                .iter()
+                .map(|((_, n), (_, v))| (n.to_string(), v.to_string()))
+                .collect();
+            headers.push(("content-length".into(), self.body.len().to_string()));
+            if self.expect_continue {
+                headers.push(("expect".into(), "100-continue".into()));
+            }
+            Request {
+                method: self.method.into(),
+                path: format!(
+                    "/{}",
+                    self.segments
+                        .iter()
+                        .map(|s| s.1)
+                        .collect::<Vec<_>>()
+                        .join("/")
+                ),
+                query: self
+                    .query
+                    .iter()
+                    .map(|(k, v)| (k.1.to_string(), v.1.to_string()))
+                    .collect(),
+                headers,
+                body: self.body.clone(),
+            }
+        }
+    }
+
+    fn sample() -> impl Strategy<Value = Sample> {
+        (
+            prop::sample::select(vec!["GET", "POST", "DELETE"]),
+            prop::collection::vec(
+                prop::sample::select(vec![
+                    ("campaigns", "campaigns"),
+                    ("c-1f2e", "c-1f2e"),
+                    ("events", "events"),
+                    ("a%20b", "a b"),
+                    ("x%2Fy", "x/y"),
+                ]),
+                0..4,
+            ),
+            prop::collection::vec(
+                (
+                    prop::sample::select(vec![("since", "since"), ("q%3D", "q=")]),
+                    prop::sample::select(vec![("3", "3"), ("a+b", "a b"), ("%41", "A"), ("", "")]),
+                ),
+                0..3,
+            ),
+            prop::collection::vec(
+                (
+                    prop::sample::select(vec![("Host", "host"), ("X-Trace", "x-trace")]),
+                    prop::sample::select(vec![
+                        ("localhost", "localhost"),
+                        ("  padded ", "padded"),
+                        ("*/*", "*/*"),
+                    ]),
+                ),
+                0..5,
+            ),
+            prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..300),
+            0u8..2,
+            0u8..2,
+        )
+            .prop_map(
+                |(method, segments, query, headers, body, crlf, expect)| Sample {
+                    method,
+                    segments,
+                    query,
+                    headers,
+                    body,
+                    crlf: crlf == 1,
+                    expect_continue: expect == 1,
+                },
+            )
+    }
+
+    /// Parses `input` whole and trickled `chunk` bytes per read; both
+    /// must agree, and `Io` never occurs on an in-memory wire.
+    fn parse(input: &[u8], chunk: usize) -> Result<Request, HttpError> {
+        let whole = read_request(&mut Wire::from_bytes(input.to_vec(), usize::MAX));
+        let trickled = read_request(&mut Wire::from_bytes(input.to_vec(), chunk));
+        assert_eq!(
+            format!("{whole:?}"),
+            format!("{trickled:?}"),
+            "chunking changed the parse"
+        );
+        assert!(!matches!(whole, Err(HttpError::Io(_))), "{whole:?}");
+        whole
+    }
+
+    /// An independent framing model over the complete input: the head's
+    /// lines (CR stripped) and the offset just past the blank line.
+    fn reference_head(input: &[u8]) -> Option<(Vec<&[u8]>, usize)> {
+        let mut lines = Vec::new();
+        let mut start = 0;
+        while let Some(i) = input[start..].iter().position(|&b| b == b'\n') {
+            let line = &input[start..start + i];
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            start += i + 1;
+            if line.is_empty() && !lines.is_empty() {
+                return Some((lines, start));
+            }
+            lines.push(line);
+        }
+        None
+    }
+
+    /// A parsed request must be exactly what the bytes frame: its method
+    /// from the request line, one header per head line, and its body the
+    /// declared number of bytes right after the blank line.
+    fn assert_framed(input: &[u8], req: &Request) {
+        let (lines, head_len) = reference_head(input).expect("a parsed request has a head");
+        let first = String::from_utf8_lossy(lines[0]);
+        assert_eq!(
+            first.split(' ').find(|p| !p.is_empty()),
+            Some(req.method.as_str())
+        );
+        assert_eq!(req.headers.len(), lines.len() - 1);
+        for ((name, value), line) in req.headers.iter().zip(&lines[1..]) {
+            let (n, v) = std::str::from_utf8(line).unwrap().split_once(':').unwrap();
+            assert_eq!(
+                (name.as_str(), value.as_str()),
+                (n.trim().to_ascii_lowercase().as_str(), v.trim())
+            );
+        }
+        let declared = req
+            .header("content-length")
+            .map_or(0, |v| v.parse::<usize>().unwrap());
+        assert_eq!(req.body.len(), declared);
+        assert_eq!(req.body.as_slice(), &input[head_len..head_len + declared]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn mutated_requests_fail_cleanly_or_parse_exactly(
+            sample in sample(),
+            kind in 0u8..4,
+            at in 0.0..1.0f64,
+            mask in 1u8..255,
+            declared in (MAX_BODY_BYTES as u64 + 1)..u64::MAX,
+            chunk in 1usize..64,
+        ) {
+            let (bytes, head_len) = sample.render(sample.body.len() as u64);
+            assert_eq!(parse(&bytes, chunk).unwrap(), sample.expected());
+            match kind {
+                // truncation anywhere short of the end never yields a request
+                0 => {
+                    let cut = (at * bytes.len() as f64) as usize;
+                    match parse(&bytes[..cut], chunk) {
+                        Err(HttpError::Closed) => assert_eq!(cut, 0),
+                        Err(HttpError::Malformed(_)) => assert!(cut > 0),
+                        other => panic!("truncated at {cut}: {other:?}"),
+                    }
+                }
+                // a flipped byte: body bytes are opaque and carried exactly;
+                // in the head, the parse is an error or matches the framing
+                1 => {
+                    let pos = (at * bytes.len() as f64) as usize;
+                    let mut flipped = bytes.clone();
+                    flipped[pos] ^= mask;
+                    match parse(&flipped, chunk) {
+                        Ok(req) if pos >= head_len => {
+                            let mut expected = sample.expected();
+                            expected.body[pos - head_len] ^= mask;
+                            assert_eq!(req, expected);
+                        }
+                        Ok(req) => assert_framed(&flipped, &req),
+                        Err(HttpError::Malformed(_)) | Err(HttpError::TooLarge(_)) => {
+                            assert!(pos < head_len, "a body flip at {pos} was rejected");
+                        }
+                        Err(e) => panic!("flip at {pos}: {e:?}"),
+                    }
+                }
+                // a line run past the cap is refused, wherever it lands
+                2 => {
+                    let pos = (at * head_len as f64) as usize;
+                    let mut long = bytes[..pos].to_vec();
+                    long.extend(std::iter::repeat_n(b'a', MAX_LINE_BYTES + 1));
+                    long.extend_from_slice(&bytes[pos..]);
+                    match parse(&long, chunk) {
+                        Err(HttpError::Malformed(m)) => assert!(m.contains("too long"), "{m}"),
+                        other => panic!("overlong line at {pos}: {other:?}"),
+                    }
+                }
+                // a declared length past the cap is refused before the body
+                // is allocated or read
+                _ => {
+                    let (huge, head_len) = sample.render(declared);
+                    let mut wire = Wire::from_bytes(huge[..head_len].to_vec(), usize::MAX);
+                    match read_request(&mut wire) {
+                        Err(HttpError::TooLarge(n)) => assert_eq!(n as u64, declared),
+                        other => panic!("Content-Length {declared}: {other:?}"),
+                    }
+                    assert!(wire.output.is_empty(), "no 100 Continue for a refused body");
+                    assert!(wire.reads <= 2, "{} reads", wire.reads);
+                }
+            }
+        }
     }
 }

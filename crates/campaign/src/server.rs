@@ -59,7 +59,9 @@ const HTTP_THREADS: usize = 8;
 const EVENT_WAIT_DEFAULT_MS: u64 = 30_000;
 const EVENT_WAIT_MAX_MS: u64 = 120_000;
 
-/// Poll interval while an `/events` stream waits for archive progress.
+/// Poll interval while an `/events` stream waits for archive progress
+/// made outside this daemon (external workers); progress made by its own
+/// executor wakes the stream at once.
 const EVENT_POLL_MS: u64 = 100;
 
 /// Options for one daemon instance.
@@ -157,6 +159,9 @@ struct ServerState {
     jobs: Mutex<JobBoard>,
     jobs_ready: Condvar,
     events: Mutex<HashMap<String, EventLog>>,
+    /// Signalled whenever an event log grows, and on shutdown, so parked
+    /// `/events` streams wake at once instead of at their next poll.
+    events_changed: Condvar,
     /// Serializes submissions: two concurrent submits of the *same* new
     /// spec would otherwise race their `campaign.toml` tmp+rename.
     submit_lock: Mutex<()>,
@@ -173,7 +178,16 @@ impl ServerState {
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         self.cancel.store(true, Ordering::Relaxed);
-        self.jobs_ready.notify_all();
+        // notify under each lock: a waiter between its flag check and its
+        // wait holds the lock, so it cannot miss the wake-up
+        {
+            let _jobs = self.jobs.lock().expect("job board poisoned");
+            self.jobs_ready.notify_all();
+        }
+        {
+            let _logs = self.events.lock().expect("event log poisoned");
+            self.events_changed.notify_all();
+        }
         let _ = TcpStream::connect(self.addr);
     }
 
@@ -209,7 +223,8 @@ impl ServerState {
 
     /// Scans the archive and appends an event line for every newly
     /// archived cell, plus the terminal `complete` line once the grid
-    /// drains. Safe to call from any thread, any number of times.
+    /// drains, waking parked streams when the log grew. Safe to call from
+    /// any thread, any number of times.
     fn refresh_events(&self, id: &str) -> Result<(), String> {
         let (archive, spec) = self.store.open_campaign(id)?;
         let states = archive.cell_states(&spec, self.options.ttl_ms);
@@ -220,6 +235,7 @@ impl ServerState {
             return Ok(());
         }
         log.announced.resize(states.len(), false);
+        let before = log.lines.len();
         let mut archived = 0usize;
         for (i, state) in states.iter().enumerate() {
             if *state != crate::archive::CellState::Archived {
@@ -246,7 +262,22 @@ impl ServerState {
             ]));
             log.terminal = true;
         }
+        if log.lines.len() > before {
+            self.events_changed.notify_all();
+        }
         Ok(())
+    }
+
+    /// Parks an `/events` stream until `id`'s log holds more than
+    /// `cursor` lines, the daemon shuts down, or `timeout` passes.
+    fn wait_for_events(&self, id: &str, cursor: usize, timeout: std::time::Duration) {
+        let logs = self.events.lock().expect("event log poisoned");
+        let _ = self
+            .events_changed
+            .wait_timeout_while(logs, timeout, |logs| {
+                !self.shutting_down() && logs.get(id).is_none_or(|log| log.lines.len() <= cursor)
+            })
+            .expect("event log poisoned");
     }
 }
 
@@ -314,6 +345,7 @@ pub fn spawn(root: &Path, options: ServeOptions) -> Result<RunningServer, String
         jobs: Mutex::new(JobBoard::default()),
         jobs_ready: Condvar::new(),
         events: Mutex::new(HashMap::new()),
+        events_changed: Condvar::new(),
         submit_lock: Mutex::new(()),
     });
 
@@ -397,6 +429,8 @@ fn executor_loop(state: &ServerState) {
                 }
             },
         );
+        // the final refresh appends the terminal line and wakes every
+        // stream parked on this campaign
         let _ = state.refresh_events(&id);
     }
 }
@@ -789,18 +823,14 @@ fn events(
             cursor += 1;
             writer.chunk(format!("{line}\n").as_bytes())?;
         }
-        if terminal || state.shutting_down() || std::time::Instant::now() >= deadline {
+        let now = std::time::Instant::now();
+        if terminal || state.shutting_down() || now >= deadline {
             break;
         }
-        // sleep in short slices, re-checking the shutdown flag: a
-        // long-polling client must never make POST /shutdown wait out
-        // the remainder of a full poll tick before the drain completes
-        let mut remaining = EVENT_POLL_MS;
-        while remaining > 0 && !state.shutting_down() {
-            let slice = remaining.min(5);
-            std::thread::sleep(std::time::Duration::from_millis(slice));
-            remaining -= slice;
-        }
+        // woken at once by the daemon's own executor and by shutdown;
+        // external workers' progress is read from the archive each tick
+        let tick = std::time::Duration::from_millis(EVENT_POLL_MS).min(deadline - now);
+        state.wait_for_events(id, cursor, tick);
     }
     writer.finish()
 }
@@ -862,5 +892,72 @@ mod tests {
             ("event", serde_json::Value::String("cell".into())),
         ]);
         assert_eq!(line, "{\"seq\":3,\"event\":\"cell\"}");
+    }
+
+    /// A stream parked on a long tick wakes as soon as a refresh grows
+    /// its campaign's log (what the daemon's executor does when its run
+    /// ends) and as soon as shutdown is requested.
+    #[test]
+    fn parked_streams_wake_when_the_log_grows_or_on_shutdown() {
+        const SPEC: &str = r#"
+name = "wake"
+horizon_ms = 5
+master_seed = 42
+
+[axes]
+controllers = ["dpm", "always_on"]
+tunings = ["paper"]
+workloads = ["low"]
+seeds = [1]
+batteries = ["linear"]
+thermals = ["cool"]
+ip_counts = [1]
+"#;
+        let root = std::env::temp_dir().join(format!("dpm-serve-wake-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = CampaignStore::open(&root).expect("open store");
+        let submission = store.submit_toml(SPEC).expect("submit");
+        let state = ServerState {
+            store,
+            options: ServeOptions::default(),
+            addr: "127.0.0.1:0".parse().expect("address"),
+            shutdown: AtomicBool::new(false),
+            cancel: Arc::new(AtomicBool::new(false)),
+            jobs: Mutex::new(JobBoard::default()),
+            jobs_ready: Condvar::new(),
+            events: Mutex::new(HashMap::new()),
+            events_changed: Condvar::new(),
+            submit_lock: Mutex::new(()),
+        };
+        let id = submission.id.as_str();
+        state.refresh_events(id).expect("refresh");
+        let parked = |cursor: usize| {
+            let start = std::time::Instant::now();
+            state.wait_for_events(id, cursor, std::time::Duration::from_secs(60));
+            start.elapsed()
+        };
+        let prompt = std::time::Duration::from_secs(20);
+
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| parked(0));
+            let config = RunnerConfig {
+                threads: 1,
+                progress: false,
+                ..RunnerConfig::default()
+            };
+            run_campaign_with(&submission.spec, &config, Some(&submission.archive)).expect("run");
+            state.refresh_events(id).expect("refresh");
+            assert!(waiter.join().expect("waiter") < prompt);
+        });
+        let lines = state.events.lock().expect("log")[id].lines.len();
+        assert_eq!(lines, 3, "two cells and the terminal line");
+
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| parked(lines));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            state.request_shutdown();
+            assert!(waiter.join().expect("waiter") < prompt);
+        });
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -456,10 +456,10 @@ fn event_cursor_rejects_garbage_and_longpolls_past_the_tail() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A parked `/events` long-poll must not hold the daemon open: the wait
-/// loop checks the shutdown flag between sleep slices, so `POST
-/// /shutdown` drains in milliseconds even with a 60-second poller in
-/// flight (before the fix, `join()` blocked for the full `wait_ms`).
+/// A parked `/events` long-poll must not hold the daemon open: shutdown
+/// wakes the stream's wait, so `POST /shutdown` drains in milliseconds
+/// even with a 60-second poller in flight (before the fix, `join()`
+/// blocked for the full `wait_ms`).
 #[test]
 fn events_longpoll_releases_promptly_on_shutdown() {
     let root = scratch_dir();

@@ -15,8 +15,6 @@ use dpm_workload::{TaskSpec, TaskTrace};
 
 use dpm_core::msg::{TaskGrant, TaskRequest};
 
-use crate::bus::BusTransaction;
-
 /// The IP-side port bundle (complements [`dpm_core::LemPorts`]).
 #[derive(Debug, Clone, Copy)]
 pub struct IpPorts {
@@ -73,8 +71,6 @@ pub struct IpBlock {
     done: u64,
     records: Vec<TaskRecord>,
     meter: EnergyMeter,
-    /// Optional service-request bus: `(fifo, ip index, transaction time)`.
-    bus: Option<(Fifo<BusTransaction>, u8, SimDuration)>,
 }
 
 impl IpBlock {
@@ -99,7 +95,6 @@ impl IpBlock {
             done: 0,
             records: Vec::new(),
             meter: EnergyMeter::new(SimTime::ZERO, PowerState::On1, Power::ZERO),
-            bus: None,
         };
         let pid = sim.add_process(name, ip);
         sim.sensitize(pid, arrival);
@@ -129,12 +124,6 @@ impl IpBlock {
     /// Closes the energy integral at `now` (call once after the run).
     pub fn finish_meter(&mut self, now: SimTime) -> Energy {
         self.meter.finish(now)
-    }
-
-    /// Routes this IP's service requests over the shared bus as
-    /// transactions of `duration` each (call between elaboration and run).
-    pub fn attach_bus(&mut self, bus: Fifo<BusTransaction>, ip_index: u8, duration: SimDuration) {
-        self.bus = Some((bus, ip_index, duration));
     }
 
     fn schedule_next_arrival(&mut self, ctx: &mut Ctx<'_>) {
@@ -229,11 +218,6 @@ impl Process for IpBlock {
             self.next_arrival += 1;
             ctx.fifo_push(self.ports.requests, TaskRequest { spec })
                 .unwrap_or_else(|_| panic!("request fifo overflow"));
-            if let Some((bus, ip, duration)) = self.bus {
-                // best effort: a saturated bus drops the accounting
-                // transaction, never the request itself
-                let _ = ctx.fifo_push(bus, BusTransaction { ip, duration });
-            }
             self.schedule_next_arrival(ctx);
         }
         // 2. settle execution progress against the current PSM state

@@ -1,15 +1,14 @@
 //! SoC assembly for the DATE'05 DPM architecture (paper Fig. 1).
 //!
 //! This crate wires the `dpm-core` managers to traffic-generating IP
-//! blocks, the shared bus, and the battery/thermal monitors, then runs
-//! the paper's experiments:
+//! blocks and the battery/thermal monitors, then runs the paper's
+//! experiments. Bus occupancy, which the paper lists among the GEM's
+//! possible inputs, is not modelled: no manager here consults it.
 //!
 //! * [`IpBlock`] — the functional IP: replays a [`dpm_workload::TaskTrace`],
 //!   sends a task request to its LEM before each task, executes grants at
 //!   the PSM-published speed (pausing through sleep states and
 //!   transitions) and publishes its instantaneous power draw.
-//! * [`Bus`] — service-request transport with occupancy accounting (the
-//!   GEM input the paper mentions).
 //! * [`SocConfig`] / [`build_soc`] — declarative SoC construction: any
 //!   number of IPs, LEM/baseline controller choice, battery model and
 //!   starting charge, thermal scenario, optional GEM, optional
@@ -28,7 +27,6 @@
 #![warn(missing_docs)]
 
 mod build;
-mod bus;
 mod coarse;
 mod config;
 pub mod experiment;
@@ -38,7 +36,6 @@ pub mod report;
 mod util;
 
 pub use build::{build_soc, SocHandles};
-pub use bus::{Bus, BusStats};
 pub use coarse::run_config_coarse;
 pub use config::{BatteryKind, ControllerKind, IpConfig, LemTuning, SocConfig, ThermalScenario};
 pub use ip::{IpBlock, IpPorts, TaskRecord};

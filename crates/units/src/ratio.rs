@@ -4,7 +4,7 @@ use core::fmt;
 
 /// A dimensionless ratio where `1.0` is 100 %.
 ///
-/// Used for battery state of charge, bus occupancy and the relative
+/// Used for battery state of charge and the relative
 /// metrics reported by the experiment harness.
 ///
 /// # Examples
