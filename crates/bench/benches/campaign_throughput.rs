@@ -14,9 +14,8 @@
 //! host, single-core included.
 //!
 //! A third summary drives the segment archive at 10^5 synthetic cells:
-//! append throughput, the enforced < 1 s bound on a cold open plus a
-//! full `cell_states` scan, and byte-equivalence of the compacted
-//! segment layout with the legacy per-cell-JSON layout.
+//! append throughput and the enforced < 1 s bound on a cold open plus
+//! a full `cell_states` scan.
 //!
 //! ```sh
 //! cargo bench -p dpm-bench campaign_throughput
@@ -27,9 +26,9 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dpm_campaign::{
-    campaign_json, run_campaign, run_campaign_with, summarize, CampaignArchive, CampaignResult,
-    CampaignSpec, CellState, ControllerAxis, RunnerConfig, ScenarioMetrics, ScenarioResult,
-    TuningAxis, WorkloadAxis, DEFAULT_LEASE_TTL_MS,
+    campaign_json, run_campaign, run_campaign_with, summarize, CampaignArchive, CampaignSpec,
+    CellState, ControllerAxis, RunnerConfig, ScenarioMetrics, ScenarioResult, TuningAxis,
+    WorkloadAxis, DEFAULT_LEASE_TTL_MS,
 };
 
 /// A meaty enough grid that thread-pool overhead is amortized:
@@ -234,16 +233,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn result_bytes(spec: &CampaignSpec, results: Vec<ScenarioResult>) -> String {
-    let result = CampaignResult {
-        name: spec.name.clone(),
-        horizon_ms: spec.horizon_ms,
-        master_seed: spec.master_seed,
-        results,
-    };
-    campaign_json(&summarize(&result), Some(&result)).expect("render json")
-}
-
 /// The segment store at 10^5 cells: append throughput, then the bound
 /// that motivated it — a cold open plus a full `cell_states` scan of
 /// 100 000 records must finish in **under a second** (the per-cell-JSON
@@ -284,34 +273,6 @@ fn print_archive_scale_summary() {
         scan < 1.0,
         "opening and scanning a {CELLS}-cell archive took {scan:.2}s (bound: 1s)"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // byte-equivalence with the legacy per-file layout, at a size where
-    // writing thousands of individual JSON files is still tolerable
-    const LEGACY_CELLS: usize = 2_000;
-    let spec = wide_spec("archive_compat", LEGACY_CELLS);
-    let dir = scratch_dir("legacy");
-    let archive = CampaignArchive::open(&dir, &spec).expect("open archive");
-    for i in 0..LEGACY_CELLS {
-        archive
-            .store_legacy(&spec, &synthetic_result(&spec, i))
-            .expect("store legacy cell");
-    }
-    let cells = spec.expand();
-    let legacy = archive.load(&spec, &cells);
-    assert_eq!(legacy.loaded, LEGACY_CELLS);
-    let reference = result_bytes(&spec, legacy.slots.into_iter().flatten().collect());
-    let report = archive.compact(&spec).expect("compact");
-    assert_eq!(report.legacy_migrated, LEGACY_CELLS);
-    let compacted = CampaignArchive::open(&dir, &spec).expect("reopen compacted");
-    let load = compacted.load(&spec, &cells);
-    assert_eq!(load.loaded, LEGACY_CELLS);
-    let bytes = result_bytes(&spec, load.slots.into_iter().flatten().collect());
-    assert_eq!(
-        bytes, reference,
-        "compaction changed the aggregate bytes vs the per-file-JSON layout"
-    );
-    println!("  compaction: {LEGACY_CELLS} per-file-JSON cells migrated, aggregate byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -11,8 +11,8 @@
 //!   segments/
 //!     seg-0000.log         # append-only CellRecord frames (see segment.rs)
 //!     seg-0001.log
-//!   cells/                 # legacy per-cell records, read-through only
-//!     cell-00000.json
+//!   segments-coarse/       # the same, for coarse screening records
+//!   baselines/             # shared always-ON1 baselines, one file per group
 //!   leases/
 //!     group-00003.lease    # one LeaseRecord per in-flight baseline group
 //! ```
@@ -20,13 +20,10 @@
 //! New records are **appended to segment files** — length-prefixed,
 //! checksummed frames in `segments/seg-NNNN.log`, one private segment
 //! per writing process — and located through an in-memory index built
-//! on open (the `segment` module's DPS1 format). Archives written by older versions
-//! store one JSON file per cell under `cells/`; those records are read
-//! transparently wherever the segment index misses, so a legacy archive
-//! resumes without migration. [`CampaignArchive::compact`] rewrites all
-//! live records (segment + legacy) into a single fresh segment via an
-//! atomic tmp+rename, dropping torn tails, duplicates and migrated
-//! legacy files.
+//! on open (the `segment` module's DPS1 format). The segment store is
+//! the only record format. [`CampaignArchive::compact`] rewrites all
+//! live records into a single fresh segment via an atomic tmp+rename,
+//! dropping torn tails and duplicates.
 //!
 //! A batch load reads each segment in one sequential pass and verifies
 //! every payload's checksum again as it reads, so bytes that changed
@@ -58,9 +55,10 @@
 //!
 //! Failure semantics, in order of importance:
 //!
-//! * **Results are never corrupted.** Cell records are written to a
-//!   temporary file and renamed into place; a worker dying mid-cell
-//!   leaves a reclaimable lease, never a truncated record.
+//! * **Results are never corrupted.** Cell records are checksummed
+//!   segment frames; a worker dying mid-append leaves a torn tail that
+//!   every scan skips and a reclaimable lease, never a record that
+//!   loads corrupt.
 //! * **Work is never lost.** A lease whose heartbeat is older than the
 //!   TTL is *stale*: any worker may take it over (atomic rename to a
 //!   per-claimant tombstone, then a fresh `create_new`) and re-run the
@@ -71,7 +69,6 @@
 //!   are deterministic), wasting work but changing nothing. Leases are a
 //!   work-partitioning mechanism; correctness never depends on them.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -136,7 +133,7 @@ pub struct CellRecord {
     /// The fidelity the metrics were evaluated at. Absent in records
     /// written before multi-fidelity search existed, which were all
     /// full-kernel runs — so a missing tag deserializes as
-    /// [`Fidelity::Fine`] and legacy records read through unchanged.
+    /// [`Fidelity::Fine`] and those segment records read unchanged.
     /// This is a *tag*, not a layout change: [`ARCHIVE_VERSION`] stays
     /// the same, and a read only accepts records whose tag matches the
     /// requested fidelity (a coarse screen must never be resumed as a
@@ -297,8 +294,8 @@ pub struct GcReport {
     /// Expired, foreign or unreadable leases (and takeover tombstones)
     /// removed.
     pub leases_removed: usize,
-    /// Orphaned temporary files removed: interrupted cell-record,
-    /// compaction and spec writes (`*.tmp`), empty or recordless
+    /// Orphaned temporary files removed: interrupted compaction and
+    /// spec writes (`*.tmp`), empty or recordless
     /// segment files, and heartbeat refresh files (`*.refresh-PID-SEQ`)
     /// left behind by killed workers.
     pub tmp_removed: usize,
@@ -311,9 +308,6 @@ pub struct CompactReport {
     pub records: usize,
     /// Old segment files removed after the rewrite.
     pub segments_removed: usize,
-    /// Legacy `cells/cell-*.json` files migrated into the segment and
-    /// removed.
-    pub legacy_migrated: usize,
     /// Total segment bytes before compaction.
     pub bytes_before: u64,
     /// Segment bytes after compaction (the fresh segment alone).
@@ -376,9 +370,8 @@ impl CampaignArchive {
         // refuse to create (and fingerprint-lock) a directory for a spec
         // that can never run
         spec.validate()?;
-        let cells = dir.join("cells");
-        std::fs::create_dir_all(&cells)
-            .map_err(|e| format!("cannot create campaign directory {}: {e}", cells.display()))?;
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create campaign directory {}: {e}", dir.display()))?;
         let spec_path = dir.join("campaign.toml");
         let toml = spec.to_toml();
         match std::fs::read_to_string(&spec_path) {
@@ -461,30 +454,17 @@ impl CampaignArchive {
         self.fingerprint
     }
 
-    /// This process's segment-store state (poison-recovering: a worker
-    /// thread panicking mid-store must not wedge every later archive
-    /// access).
-    fn seg_lock(&self) -> MutexGuard<'_, SegmentState> {
-        self.segments
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The segment-store state for one fidelity. Code touching both
-    /// stores must take the fine lock before the coarse one.
+    /// This process's segment-store state for one fidelity
+    /// (poison-recovering: a worker thread panicking mid-store must not
+    /// wedge every later archive access). Code touching both stores
+    /// must take the fine lock before the coarse one.
     fn lock_for(&self, fidelity: Fidelity) -> MutexGuard<'_, SegmentState> {
         match fidelity {
-            Fidelity::Fine => self.seg_lock(),
-            Fidelity::Coarse => self
-                .coarse
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
+            Fidelity::Fine => &self.segments,
+            Fidelity::Coarse => &self.coarse,
         }
-    }
-
-    /// The `segments/` directory.
-    fn segments_dir(&self) -> PathBuf {
-        self.dir.join("segments")
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The segment directory of one fidelity's store.
@@ -493,61 +473,6 @@ impl CampaignArchive {
             Fidelity::Fine => self.dir.join("segments"),
             Fidelity::Coarse => self.dir.join("segments-coarse"),
         }
-    }
-
-    /// The legacy-format path of one cell record. New legacy-format
-    /// writes (tests, migrations) use 8-digit padding so names sort
-    /// lexicographically up to 10^8 cells; reads also accept the
-    /// historical 5-digit names.
-    fn cell_path(&self, index: usize) -> PathBuf {
-        self.dir.join("cells").join(format!("cell-{index:08}.json"))
-    }
-
-    /// Every legacy cell record present under `cells/`, keyed by its
-    /// **numerically parsed** index (so 5- and 8-digit names mix
-    /// freely); 8-digit names win when both widths exist.
-    fn legacy_map(&self) -> HashMap<usize, PathBuf> {
-        let mut map: HashMap<usize, (usize, PathBuf)> = HashMap::new();
-        let Ok(entries) = std::fs::read_dir(self.dir.join("cells")) else {
-            return HashMap::new();
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let Some(digits) = name
-                .strip_prefix("cell-")
-                .and_then(|rest| rest.strip_suffix(".json"))
-            else {
-                continue;
-            };
-            let Ok(index) = digits.parse::<usize>() else {
-                continue;
-            };
-            match map.get(&index) {
-                Some((width, _)) if *width >= digits.len() => {}
-                _ => {
-                    map.insert(index, (digits.len(), path));
-                }
-            }
-        }
-        map.into_iter().map(|(i, (_, p))| (i, p)).collect()
-    }
-
-    /// Reads one legacy cell record's text, trying the 8-digit name
-    /// first and falling back to the historical 5-digit one.
-    fn legacy_cell_text(&self, index: usize) -> Option<String> {
-        let cells = self.dir.join("cells");
-        for name in [
-            format!("cell-{index:08}.json"),
-            format!("cell-{index:05}.json"),
-        ] {
-            if let Ok(text) = std::fs::read_to_string(cells.join(name)) {
-                return Some(text);
-            }
-        }
-        None
     }
 
     /// The lease file guarding one baseline group (public for
@@ -669,9 +594,9 @@ impl CampaignArchive {
             })
     }
 
-    /// Loads one cell's *fine* record, if a valid one exists: the
-    /// segment index first (refreshing on a miss, so a record another
-    /// process just appended is found), then the legacy per-cell files.
+    /// Loads one cell's *fine* record, if a valid one exists (the index
+    /// refreshes on a miss, so a record another process just appended
+    /// is found).
     pub fn load_cell(&self, spec: &CampaignSpec, cell: &ScenarioSpec) -> Option<ScenarioResult> {
         self.load_cell_as(spec, cell, Fidelity::Fine)
     }
@@ -687,24 +612,9 @@ impl CampaignArchive {
         cell: &ScenarioSpec,
         fidelity: Fidelity,
     ) -> Option<ScenarioResult> {
-        {
-            let mut state = self.lock_for(fidelity);
-            if let Some(payload) = state.index.read_refreshing(cell.index) {
-                if let Some(result) = std::str::from_utf8(&payload)
-                    .ok()
-                    .and_then(|text| self.record_from(spec, cell, text, Some(fidelity)))
-                {
-                    return Some(result);
-                }
-            }
-        }
-        // legacy per-cell files predate the coarse evaluator entirely,
-        // so they can only ever satisfy a fine read
-        if fidelity != Fidelity::Fine {
-            return None;
-        }
-        let text = self.legacy_cell_text(cell.index)?;
-        self.record_from(spec, cell, &text, Some(fidelity))
+        let payload = self.lock_for(fidelity).index.read_refreshing(cell.index)?;
+        let text = std::str::from_utf8(&payload).ok()?;
+        self.record_from(spec, cell, text, Some(fidelity))
     }
 
     /// Loads every valid archived record against the given cells (the
@@ -736,61 +646,34 @@ impl CampaignArchive {
         let mut slots: Vec<Option<ScenarioResult>> = vec![None; cells.len()];
         let mut loaded = 0;
         let mut skipped = 0;
+        // one refresh for the whole batch, then one sequential pass per
+        // segment
+        let mut state = self.lock_for(fidelity);
+        let _ = state.index.refresh();
+        let mut settle = |slot: usize, payload: Option<&[u8]>| match payload
+            .and_then(|bytes| std::str::from_utf8(bytes).ok())
+            .and_then(|text| self.record_from(spec, &cells[slot], text, Some(fidelity)))
         {
-            // one refresh for the whole batch, then one sequential pass
-            // per segment
-            let mut state = self.lock_for(fidelity);
-            let _ = state.index.refresh();
-            let mut settle = |slot: usize, payload: Option<&[u8]>| match payload
-                .and_then(|bytes| std::str::from_utf8(bytes).ok())
-                .and_then(|text| self.record_from(spec, &cells[slot], text, Some(fidelity)))
-            {
-                Some(result) => {
-                    slots[slot] = Some(result);
-                    loaded += 1;
-                }
-                None => skipped += 1,
-            };
-            let indices: Vec<usize> = cells.iter().map(|cell| cell.index).collect();
-            let mut retry = Vec::new();
-            state
-                .index
-                .read_batch(&indices, |slot, payload| match payload {
-                    Some(_) => settle(slot, payload),
-                    None => retry.push(slot),
-                });
-            // a frame that vanished (compaction race) or failed its
-            // checksum gets one refreshing retry; a record still
-            // unreadable is skipped and its cell re-runs
-            for slot in retry {
-                let payload = state.index.read_refreshing(indices[slot]);
-                settle(slot, payload.as_deref());
+            Some(result) => {
+                slots[slot] = Some(result);
+                loaded += 1;
             }
-        }
-        // legacy read-through for whatever the segments didn't cover
-        // (legacy files predate the coarse evaluator: fine reads only)
-        if fidelity == Fidelity::Fine && slots.iter().any(Option::is_none) {
-            let legacy = self.legacy_map();
-            if !legacy.is_empty() {
-                for (i, cell) in cells.iter().enumerate() {
-                    if slots[i].is_some() {
-                        continue;
-                    }
-                    let Some(path) = legacy.get(&cell.index) else {
-                        continue;
-                    };
-                    let Ok(text) = std::fs::read_to_string(path) else {
-                        continue;
-                    };
-                    match self.record_from(spec, cell, &text, Some(fidelity)) {
-                        Some(result) => {
-                            slots[i] = Some(result);
-                            loaded += 1;
-                        }
-                        None => skipped += 1,
-                    }
-                }
-            }
+            None => skipped += 1,
+        };
+        let indices: Vec<usize> = cells.iter().map(|cell| cell.index).collect();
+        let mut retry = Vec::new();
+        state
+            .index
+            .read_batch(&indices, |slot, payload| match payload {
+                Some(_) => settle(slot, payload),
+                None => retry.push(slot),
+            });
+        // a frame that vanished (compaction race) or failed its checksum
+        // gets one refreshing retry; a record still unreadable is
+        // skipped and its cell re-runs
+        for slot in retry {
+            let payload = state.index.read_refreshing(indices[slot]);
+            settle(slot, payload.as_deref());
         }
         ArchiveLoad {
             slots,
@@ -871,37 +754,9 @@ impl CampaignArchive {
             .map_err(|e| e.to_string())
     }
 
-    /// Persists one finished cell in the **legacy** per-cell-JSON-file
-    /// format (tmp + rename at `cells/cell-<index>.json`). Only here so
-    /// tests and benchmarks can fabricate the archives old binaries
-    /// wrote; new code stores through [`store`](Self::store).
-    #[doc(hidden)]
-    pub fn store_legacy(&self, spec: &CampaignSpec, result: &ScenarioResult) -> Result<(), String> {
-        let Some(metrics) = result.metrics.as_ref() else {
-            return Ok(());
-        };
-        let record = CellRecord {
-            archive_version: ARCHIVE_VERSION,
-            spec_fingerprint: self.fingerprint,
-            master_seed: spec.master_seed,
-            horizon_ms: spec.horizon_ms,
-            scenario: result.scenario,
-            metrics: metrics.clone(),
-            fidelity: Fidelity::Fine,
-        };
-        let json = serde_json::to_string_pretty(&record).map_err(|e| e.to_string())?;
-        let path = self.cell_path(result.scenario.index);
-        std::fs::create_dir_all(self.dir.join("cells"))
-            .map_err(|e| format!("cannot create {}: {e}", self.dir.join("cells").display()))?;
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, &json).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| format!("cannot finalize {}: {e}", path.display()))
-    }
-
-    /// Rewrites every live record — segment frames and legacy per-cell
-    /// files alike — into a single fresh segment file, dropping torn
-    /// tails, duplicate frames, foreign/corrupt records and the
-    /// migrated legacy files. The new segment is written to a temporary
+    /// Rewrites every live record into a single fresh segment file,
+    /// dropping torn tails, duplicate frames and foreign/corrupt
+    /// records. The new segment is written to a temporary
     /// file and renamed into place, so a kill mid-compaction never
     /// loses a record: the old files are only removed after the rename
     /// lands.
@@ -914,8 +769,7 @@ impl CampaignArchive {
     /// back). Wait for the leases to expire or be released (or clear
     /// stale ones with `campaign gc`) and retry.
     ///
-    /// Both segment stores are compacted: the fine store (which also
-    /// absorbs legacy per-cell files) and the coarse store. The report
+    /// Both segment stores are compacted, fine and coarse. The report
     /// totals cover the two combined.
     ///
     /// # Errors
@@ -932,27 +786,25 @@ impl CampaignArchive {
             ));
         }
         let mut report = CompactReport::default();
-        {
-            let mut state = self.seg_lock();
-            self.compact_store(spec, &mut state, &self.segments_dir(), true, &mut report)?;
-        }
-        {
-            let mut state = self.lock_for(Fidelity::Coarse);
-            let dir = self.segments_dir_for(Fidelity::Coarse);
-            self.compact_store(spec, &mut state, &dir, false, &mut report)?;
+        // fine before coarse, the lock order every two-store path keeps
+        for fidelity in [Fidelity::Fine, Fidelity::Coarse] {
+            let mut state = self.lock_for(fidelity);
+            self.compact_store(
+                spec,
+                &mut state,
+                &self.segments_dir_for(fidelity),
+                &mut report,
+            )?;
         }
         Ok(report)
     }
 
-    /// Compacts one segment store in place; `migrate_legacy` also
-    /// folds valid legacy per-cell files into the fresh segment (the
-    /// fine store only — legacy records predate the coarse evaluator).
+    /// Compacts one segment store in place.
     fn compact_store(
         &self,
         spec: &CampaignSpec,
         state: &mut SegmentState,
         dir: &Path,
-        migrate_legacy: bool,
         report: &mut CompactReport,
     ) -> Result<(), String> {
         use std::io::Write as _;
@@ -982,29 +834,6 @@ impl CampaignArchive {
         for (index, rec) in valid {
             let text = serde_json::to_string(&rec).map_err(|e| e.to_string())?;
             records.insert(index, text);
-        }
-        // migrate legacy records (valid ones; corrupt files are gc's
-        // business, not compaction's)
-        let mut migrated: Vec<PathBuf> = Vec::new();
-        if migrate_legacy {
-            for (index, path) in self.legacy_map() {
-                if index >= n {
-                    continue;
-                }
-                if records.contains_key(&index) {
-                    migrated.push(path); // duplicate of a segment record
-                    continue;
-                }
-                let cell = spec.cell_at(index);
-                let Ok(text) = std::fs::read_to_string(&path) else {
-                    continue;
-                };
-                if let Some(rec) = self.valid_record(spec, &cell, &text, None) {
-                    let canonical = serde_json::to_string(&rec).map_err(|e| e.to_string())?;
-                    records.insert(index, canonical);
-                    migrated.push(path);
-                }
-            }
         }
         if !records.is_empty() {
             // reserve the target number with create_new (concurrent
@@ -1050,11 +879,6 @@ impl CampaignArchive {
         for path in old_segments.values() {
             if std::fs::remove_file(path).is_ok() {
                 report.segments_removed += 1;
-            }
-        }
-        for path in &migrated {
-            if std::fs::remove_file(path).is_ok() {
-                report.legacy_migrated += 1;
             }
         }
         state.index.reset();
@@ -1248,53 +1072,26 @@ impl CampaignArchive {
     /// The lifecycle state of every grid cell: its record, else its
     /// group's lease, else pending.
     ///
-    /// Segment-archived cells are judged by index membership plus a
-    /// byte scan of the payload for the coarse fidelity tag — every
-    /// indexed frame already passed the checksum, fingerprint and
+    /// Cells are judged by index membership in each fidelity's store —
+    /// every indexed frame already passed the checksum, fingerprint and
     /// version checks during the scan, so no JSON is parsed here. That
     /// keeps a full-status sweep sub-second at 10^5 cells while still
     /// telling coarse screens ([`CellState::Screened`]) apart from
     /// completed fine cells.
     pub fn cell_states(&self, spec: &CampaignSpec, ttl_ms: u64) -> Vec<CellState> {
         let cells = spec.expand();
-        let mut archived: Vec<bool> = vec![false; cells.len()];
-        {
-            let mut state = self.seg_lock();
+        let indexed = |fidelity| -> Vec<bool> {
+            let mut state = self.lock_for(fidelity);
             let _ = state.index.refresh();
-            for (i, cell) in cells.iter().enumerate() {
-                archived[i] = state.index.contains(cell.index);
-            }
-        }
-        if archived.iter().any(|&a| !a) {
-            let legacy = self.legacy_map();
-            if !legacy.is_empty() {
-                for (i, cell) in cells.iter().enumerate() {
-                    if archived[i] {
-                        continue;
-                    }
-                    let Some(path) = legacy.get(&cell.index) else {
-                        continue;
-                    };
-                    if std::fs::read_to_string(path)
-                        .ok()
-                        .and_then(|text| self.record_from(spec, cell, &text, None))
-                        .is_some()
-                    {
-                        archived[i] = true;
-                    }
-                }
-            }
-        }
+            cells
+                .iter()
+                .map(|cell| state.index.contains(cell.index))
+                .collect()
+        };
+        let archived = indexed(Fidelity::Fine);
         // a cell with only a coarse record is *screened*: ranked by the
         // fast path, but still pending as far as fine results go
-        let mut screened: Vec<bool> = vec![false; cells.len()];
-        {
-            let mut state = self.lock_for(Fidelity::Coarse);
-            let _ = state.index.refresh();
-            for (i, cell) in cells.iter().enumerate() {
-                screened[i] = !archived[i] && state.index.contains(cell.index);
-            }
-        }
+        let screened = indexed(Fidelity::Coarse);
         let lease_live: Vec<bool> = (0..spec.group_count())
             .map(|g| matches!(self.lease_state(g, ttl_ms), LeaseState::Held { .. }))
             .collect();
@@ -1328,8 +1125,7 @@ impl CampaignArchive {
     /// # Errors
     ///
     /// Returns a description when a directory listing or a removal
-    /// fails (a missing `segments/`, `cells/` or `leases/` directory is
-    /// fine).
+    /// fails (a missing segment or `leases/` directory is fine).
     pub fn gc(&self, spec: &CampaignSpec, ttl_ms: u64) -> Result<GcReport, String> {
         use std::io::{Read as _, Seek as _, SeekFrom};
         let mut report = GcReport::default();
@@ -1398,33 +1194,6 @@ impl CampaignArchive {
                 let mut state = self.lock_for(fidelity);
                 state.index.reset();
                 let _ = state.index.refresh();
-            }
-        }
-        for entry in read_dir_or_empty(&self.dir.join("cells"))? {
-            let path = entry?;
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.ends_with(".tmp") {
-                remove(&path)?;
-                report.tmp_removed += 1;
-                continue;
-            }
-            let Some(index) = name
-                .strip_prefix("cell-")
-                .and_then(|rest| rest.strip_suffix(".json"))
-                .and_then(|digits| digits.parse::<usize>().ok())
-            else {
-                continue; // not ours; leave unknown files alone
-            };
-            let valid = index < n
-                && std::fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|text| self.record_from(spec, &spec.cell_at(index), &text, None))
-                    .is_some();
-            if valid {
-                report.records_kept += 1;
-            } else {
-                remove(&path)?;
-                report.records_removed += 1;
             }
         }
         for entry in read_dir_or_empty(&self.dir.join("leases"))? {
@@ -1537,13 +1306,47 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Writes `frames` as one fresh fine-store segment file numbered
+    /// `number`. Each frame carries this archive's fingerprint, the
+    /// current version and a valid checksum, so the index accepts it
+    /// and only the record inside decides whether it loads.
+    fn write_segment(archive: &CampaignArchive, number: u64, frames: &[(usize, &[u8])]) -> PathBuf {
+        let dir = archive.dir().join("segments");
+        std::fs::create_dir_all(&dir).unwrap();
+        let bytes: Vec<u8> = frames
+            .iter()
+            .flat_map(|&(index, payload)| {
+                segment::encode_frame(
+                    index as u64,
+                    archive.fingerprint(),
+                    ARCHIVE_VERSION,
+                    payload,
+                )
+            })
+            .collect();
+        let path = segment::segment_path(&dir, number);
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    /// Cell 0's record as it would be stored, but claiming archive
+    /// format version 0.
+    fn stale_version_record(archive: &CampaignArchive, spec: &CampaignSpec) -> String {
+        let result = run_campaign(spec, &RunnerConfig::serial());
+        let text = archive
+            .encode_record(spec, &result.results[0], Fidelity::Fine)
+            .unwrap()
+            .unwrap();
+        let stale = text.replace("\"archive_version\":1", "\"archive_version\":0");
+        assert_ne!(stale, text, "the version field was rewritten");
+        stale
+    }
+
     #[test]
     fn foreign_spec_records_are_skipped_and_foreign_dirs_refused() {
         let spec = tiny_spec();
         let dir = tmp_dir("foreign");
         let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        let result = run_campaign(&spec, &RunnerConfig::serial());
-        archive.store_legacy(&spec, &result.results[0]).unwrap();
 
         // same directory, different grid: open refuses outright
         let mut other = spec.clone();
@@ -1551,16 +1354,14 @@ mod tests {
         let err = CampaignArchive::open(&dir, &other).unwrap_err();
         assert!(err.contains("different grid"), "{err}");
 
-        // a legacy record rewritten with a stale version is skipped,
-        // not loaded
-        let path = archive.cell_path(0);
-        let stale = std::fs::read_to_string(&path)
-            .unwrap()
-            .replace("\"archive_version\": 1", "\"archive_version\": 0");
-        std::fs::write(&path, stale).unwrap();
+        // an intact frame whose record claims a stale version is
+        // skipped, not loaded
+        let stale = stale_version_record(&archive, &spec);
+        write_segment(&archive, 0, &[(0, stale.as_bytes())]);
         let load = archive.load(&spec, &spec.expand());
         assert_eq!(load.loaded, 0);
         assert_eq!(load.skipped, 1);
+        assert!(archive.load_cell(&spec, &spec.cell_at(0)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1569,7 +1370,7 @@ mod tests {
         let spec = tiny_spec();
         let dir = tmp_dir("corrupt");
         let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        std::fs::write(archive.cell_path(1), "{ not json").unwrap();
+        write_segment(&archive, 0, &[(1, b"{ not json")]);
         let load = archive.load(&spec, &spec.expand());
         assert_eq!(load.loaded, 0);
         assert_eq!(load.skipped, 1);
@@ -1736,9 +1537,15 @@ mod tests {
         for r in &result.results {
             archive.store(&spec, r).unwrap();
         }
-        // garbage: a corrupt record, an orphan tmp, an expired lease
-        std::fs::write(archive.cell_path(1), "{ corrupt").unwrap();
-        std::fs::write(dir.join("cells").join("cell-00000.json.tmp"), "x").unwrap();
+        // garbage: a segment holding only a stale-version and an
+        // unparseable record, an orphan compaction temp, an expired lease
+        let stale = stale_version_record(&archive, &spec);
+        let garbage = write_segment(
+            &archive,
+            5,
+            &[(0, stale.as_bytes()), (1, b"{ not json".as_slice())],
+        );
+        std::fs::write(dir.join("segments").join("seg-0009.log.tmp"), "x").unwrap();
         let cfg = test_lease();
         let live = archive.try_claim(0, &cfg).unwrap().expect("claimed");
         let expired = LeaseRecord {
@@ -1755,10 +1562,11 @@ mod tests {
         .unwrap();
 
         let report = archive.gc(&spec, cfg.ttl_ms).unwrap();
-        // every stored cell is a live segment frame; the corrupt legacy
-        // file is the one record removed
+        // every stored cell is a live segment frame; the garbage
+        // segment's two records are removed with it
         assert_eq!(report.records_kept, spec.scenario_count());
-        assert_eq!(report.records_removed, 1);
+        assert_eq!(report.records_removed, 2);
+        assert!(!garbage.exists(), "a segment of bad records is removed");
         assert_eq!(report.leases_active, 1);
         assert_eq!(report.leases_removed, 1);
         assert_eq!(report.tmp_removed, 1);
@@ -1966,52 +1774,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_five_digit_records_are_read_through() {
-        let spec = tiny_spec();
-        let dir = tmp_dir("legacy-5digit");
-        let archive = CampaignArchive::open(&dir, &spec).unwrap();
-        let result = run_campaign(&spec, &RunnerConfig::serial());
-        // fabricate what an old binary left behind: 5-digit names
-        for r in &result.results {
-            archive.store_legacy(&spec, r).unwrap();
-            let index = r.scenario.index;
-            std::fs::rename(
-                dir.join("cells").join(format!("cell-{index:08}.json")),
-                dir.join("cells").join(format!("cell-{index:05}.json")),
-            )
-            .unwrap();
-        }
-        // a fresh handle (index built on open) loads them all
-        let reopened = CampaignArchive::open(&dir, &spec).unwrap();
-        let load = reopened.load(&spec, &spec.expand());
-        assert_eq!(load.loaded, spec.scenario_count());
-        assert_eq!(load.skipped, 0);
-        assert!(reopened
-            .cell_states(&spec, DEFAULT_LEASE_TTL_MS)
-            .iter()
-            .all(|s| *s == CellState::Archived));
-        let cell = spec.cell_at(1);
-        assert!(reopened.load_cell(&spec, &cell).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compaction_rewrites_segments_and_migrates_legacy() {
+    fn compaction_rewrites_segments() {
         let spec = tiny_spec();
         let dir = tmp_dir("compact");
         let result = run_campaign(&spec, &RunnerConfig::serial());
-        // two writer handles → two segment files, plus one legacy file
+        // two writer handles → two segment files
         let a = CampaignArchive::open(&dir, &spec).unwrap();
         let b = CampaignArchive::open(&dir, &spec).unwrap();
         a.store(&spec, &result.results[0]).unwrap();
         b.store(&spec, &result.results[1]).unwrap();
-        a.store_legacy(&spec, &result.results[1]).unwrap();
         let before = archive_reference(&a, &spec);
 
         let report = a.compact(&spec).unwrap();
         assert_eq!(report.records, spec.scenario_count());
         assert_eq!(report.segments_removed, 2);
-        assert_eq!(report.legacy_migrated, 1);
         assert!(report.bytes_after > 0);
         let segments = std::fs::read_dir(dir.join("segments"))
             .unwrap()
@@ -2019,10 +1795,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".log"))
             .count();
         assert_eq!(segments, 1, "one fresh segment holds everything");
-        assert!(
-            !dir.join("cells").join("cell-00000001.json").exists(),
-            "migrated legacy files are gone"
-        );
 
         // same handle and a fresh one both load identically
         assert_eq!(archive_reference(&a, &spec), before);
@@ -2032,7 +1804,6 @@ mod tests {
         // compaction is idempotent
         let again = reopened.compact(&spec).unwrap();
         assert_eq!(again.records, spec.scenario_count());
-        assert_eq!(again.legacy_migrated, 0);
         assert_eq!(archive_reference(&reopened, &spec), before);
         let _ = std::fs::remove_dir_all(&dir);
     }

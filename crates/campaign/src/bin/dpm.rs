@@ -9,7 +9,7 @@
 //! dpm worker <DIR> [--threads N] [--ttl-ms N] [--poll-ms N] [--holder ID] [--no-dedup]
 //! dpm search <spec.toml | --builtin> [--strategy climb|anneal|pareto|portfolio]
 //!            [--objective O] [--constraint C] [--budget N] [--start-points N]
-//!            [--threads N] [--workers N] [--prefetch]
+//!            [--threads N] [--workers N]
 //!            [--initial-temp T] [--cooling F] [--anneal-seed N]
 //!            [--format F] [--out FILE] [--resume DIR] [--coordinate] [--no-dedup]
 //! dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N]
@@ -53,7 +53,7 @@ USAGE:
                [--budget N] [--start-points N] [--threads N] [--workers N]
                [--initial-temp T] [--cooling F] [--anneal-seed N]
                [--format ascii|markdown|json] [--out FILE] [--resume DIR]
-               [--coordinate] [--prefetch] [--no-dedup]
+               [--coordinate] [--no-dedup]
     dpm serve <DIR> [--addr HOST:PORT] [--workers N] [--threads N]
               [--ttl-ms N] [--poll-ms N] [--no-dedup]
     dpm table2 [--format ascii|markdown|json]
@@ -74,10 +74,9 @@ single-process run. `dpm worker DIR` joins a campaign directory by
 hand; launch as many as you like, on any host sharing the filesystem.
 `dpm campaign gc DIR` removes unloadable records, expired leases and
 orphaned temp files. `dpm campaign compact DIR` rewrites all live cell
-records (segment frames and legacy per-cell JSON alike) into a single
-fresh segment file, dropping torn tails and duplicates. `dpm campaign
-list DIR --format json` reports each cell's state (archived / leased /
-pending).
+records into a single fresh segment file, dropping torn tails and
+duplicates. `dpm campaign list DIR --format json` reports each cell's
+state (archived / leased / pending).
 
 `dpm serve DIR` runs the campaign service: a daemon owning DIR as a
 root of campaign directories (one per submitted spec, keyed by spec
@@ -108,11 +107,7 @@ processes share one exploration through the directory's work leases.
 `search --workers N` spawns and supervises N such coordinated search
 processes itself (no --coordinate needed; an ephemeral directory is
 used when --resume is absent) and prints each child's accounting; the
-report stays byte-identical to the single-process run. --prefetch lets
-idle threads speculatively evaluate each strategy's likely next
-proposals while a batch is in flight: results land in the archive
-keyed by grid index, so reports are unchanged, and speculative work is
-accounted separately (never against the strategy's budget).
+report stays byte-identical to the single-process run.
 
 --fidelity picks how scalar searches spend the budget: 'fine' (full
 kernel simulation, the default), 'coarse' (the analytic dwell-time
@@ -383,7 +378,6 @@ fn campaign_run(args: &[String]) -> Result<(), String> {
         lease: None,
         cancel: None,
         fidelity: Fidelity::Fine,
-        speculative: Vec::new(),
     };
 
     // the multi-process backend needs a directory to coordinate through;
@@ -554,13 +548,8 @@ fn campaign_compact(args: &[String]) -> Result<(), String> {
     let report = archive.compact(&spec)?;
     out(format_args!(
         "compact {dir}: {} records rewritten into one segment \
-         ({} old segments and {} legacy cell files removed; \
-         {} -> {} segment bytes)",
-        report.records,
-        report.segments_removed,
-        report.legacy_migrated,
-        report.bytes_before,
-        report.bytes_after,
+         ({} old segments removed; {} -> {} segment bytes)",
+        report.records, report.segments_removed, report.bytes_before, report.bytes_after,
     ));
     Ok(())
 }
@@ -652,7 +641,6 @@ fn spawn_search_pool(
     n: usize,
     config: &RunnerConfig,
     dir: Option<&Path>,
-    prefetch: bool,
 ) -> Result<std::thread::JoinHandle<PoolOutcome>, String> {
     let dir = dir
         .ok_or("--workers needs a campaign directory")?
@@ -687,9 +675,6 @@ fn spawn_search_pool(
     }
     if opts.has("no-dedup") {
         argv.push("--no-dedup".into());
-    }
-    if prefetch {
-        argv.push("--prefetch".into());
     }
     argv.push("--threads".into());
     argv.push(pool.effective_child_threads().to_string().into());
@@ -754,13 +739,7 @@ fn search(args: &[String]) -> Result<(), String> {
             "poll-ms",
             "holder",
         ],
-        &[
-            "builtin",
-            "no-dedup",
-            "coordinate",
-            "prefetch",
-            "worker-summary",
-        ],
+        &["builtin", "no-dedup", "coordinate", "worker-summary"],
     )?;
     let format = output_format(&opts)?;
     let (spec, defaults) = load_spec_full(&opts)?;
@@ -839,13 +818,6 @@ fn search(args: &[String]) -> Result<(), String> {
                     directory is the work-sharing medium)"
             .into());
     }
-    let prefetch = opts.has("prefetch") || defaults.prefetch.unwrap_or(false);
-    if opts.has("prefetch") && workers.is_none() && !opts.has("resume") {
-        return Err("--prefetch needs an archive to key speculative results \
-                    by grid index: pass --resume DIR (or --workers N, which \
-                    creates an ephemeral one)"
-            .into());
-    }
     // always fine here: search_campaign pins the per-phase fidelity
     // itself from the SearchSpec, and pareto fronts are fine-only
     let config = RunnerConfig {
@@ -855,7 +827,6 @@ fn search(args: &[String]) -> Result<(), String> {
         lease,
         cancel: None,
         fidelity: Fidelity::Fine,
-        speculative: Vec::new(),
     };
 
     // --workers without --resume coordinates through an ephemeral
@@ -882,13 +853,7 @@ fn search(args: &[String]) -> Result<(), String> {
     // one that renders the report
     let pool_handle = match workers {
         None => None,
-        Some(n) => Some(spawn_search_pool(
-            &opts,
-            n,
-            &config,
-            dir.as_deref(),
-            prefetch,
-        )?),
+        Some(n) => Some(spawn_search_pool(&opts, n, &config, dir.as_deref())?),
     };
     let quiet = opts.has("worker-summary");
     let started = std::time::Instant::now();
@@ -911,7 +876,7 @@ fn search(args: &[String]) -> Result<(), String> {
             Some(c) => objectives.with_constraint(c),
             None => objectives,
         };
-        let mut pareto_spec = ParetoSpec::new(objectives, budget).with_prefetch(prefetch);
+        let mut pareto_spec = ParetoSpec::new(objectives, budget);
         if let Some(points) = start_points {
             pareto_spec.start_points = points;
         }
@@ -976,8 +941,7 @@ fn search(args: &[String]) -> Result<(), String> {
     };
     let mut search_spec = SearchSpec::new(objective, budget)
         .with_strategy(strategy)
-        .with_fidelity(fidelity)
-        .with_prefetch(prefetch);
+        .with_fidelity(fidelity);
     if let Some(points) = start_points {
         search_spec.start_points = points;
     }

@@ -16,22 +16,9 @@ pub fn run_stats_line(stats: &RunStats) -> String {
         0 => String::new(),
         n => format!(", {n} coarse evaluations"),
     };
-    // the speculative clause deliberately avoids the word "simulations":
-    // CI greps resumed runs for " 0 simulations" to prove zero fresh
-    // strategy work, and speculative evals must not defeat that check
-    let speculative = match (
-        stats.speculative_cells,
-        stats.speculative_simulations,
-        stats.speculative_coarse,
-    ) {
-        (0, 0, 0) => String::new(),
-        (cells, fine, coarse) => {
-            format!(", {cells} speculative cells ({fine} fine, {coarse} coarse evals)")
-        }
-    };
     format!(
         "{} cells: {} archived, {} executed; {} simulations \
-         ({} shared baselines, {} always-on reuses){coarse}{speculative}",
+         ({} shared baselines, {} always-on reuses){coarse}",
         stats.total_cells,
         stats.archived_cells,
         stats.executed_cells,
@@ -532,9 +519,6 @@ mod tests {
             baseline_groups: 4,
             reused_baselines: 2,
             coarse_simulations: 0,
-            speculative_cells: 0,
-            speculative_simulations: 0,
-            speculative_coarse: 0,
         });
         for needle in ["32 cells", "20 archived", "12 executed", "18 simulations"] {
             assert!(line.contains(needle), "{line}");
@@ -543,33 +527,6 @@ mod tests {
             !line.contains("coarse"),
             "fine-only runs keep the historical line: {line}"
         );
-        assert!(
-            !line.contains("speculative"),
-            "prefetch-free runs keep the historical line: {line}"
-        );
-    }
-
-    #[test]
-    fn stats_line_names_speculative_work_without_the_word_simulations() {
-        let line = run_stats_line(&crate::runner::RunStats {
-            total_cells: 16,
-            archived_cells: 4,
-            executed_cells: 12,
-            simulations: 14,
-            baseline_groups: 3,
-            reused_baselines: 1,
-            coarse_simulations: 0,
-            speculative_cells: 5,
-            speculative_simulations: 6,
-            speculative_coarse: 2,
-        });
-        assert!(
-            line.contains("5 speculative cells (6 fine, 2 coarse evals)"),
-            "{line}"
-        );
-        // CI greps resumed runs for " 0 simulations"; the speculative
-        // clause must never be able to satisfy or defeat that grep
-        assert_eq!(line.matches("simulations").count(), 1, "{line}");
     }
 
     #[test]
@@ -582,9 +539,6 @@ mod tests {
             baseline_groups: 2,
             reused_baselines: 5,
             coarse_simulations: 70,
-            speculative_cells: 0,
-            speculative_simulations: 0,
-            speculative_coarse: 0,
         });
         assert!(line.contains("70 coarse evaluations"), "{line}");
     }

@@ -123,15 +123,6 @@ pub struct RunnerConfig {
     /// records and count in [`RunStats::coarse_simulations`], never in
     /// [`RunStats::simulations`].
     pub fidelity: Fidelity,
-    /// Grid indices of cells in this run that are **speculative**
-    /// (prefetched by the search driver, not proposed by a strategy).
-    /// Speculative cells execute and archive exactly like any other
-    /// cell — determinism is untouched — but their work is accounted in
-    /// the `speculative_*` fields of [`RunStats`] instead of
-    /// `executed_cells`/`simulations`, and on the leased path their
-    /// groups are claimed only after every group containing a real
-    /// (proposed) cell. Empty (the default) means every cell is real.
-    pub speculative: Vec<usize>,
 }
 
 impl Default for RunnerConfig {
@@ -143,7 +134,6 @@ impl Default for RunnerConfig {
             lease: None,
             cancel: None,
             fidelity: Fidelity::Fine,
-            speculative: Vec::new(),
         }
     }
 }
@@ -178,13 +168,6 @@ impl RunnerConfig {
     /// This configuration evaluating at the given fidelity.
     pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
         self.fidelity = fidelity;
-        self
-    }
-
-    /// This configuration with the given grid indices accounted as
-    /// speculative (prefetched) work.
-    pub fn with_speculative(mut self, cells: Vec<usize>) -> Self {
-        self.speculative = cells;
         self
     }
 
@@ -322,16 +305,6 @@ pub struct RunStats {
     /// Coarse (analytic dwell-time) evaluations run, scenario and
     /// baseline evaluations both.
     pub coarse_simulations: usize,
-    /// Cells executed *speculatively* (search prefetch): evaluated ahead
-    /// of any strategy proposal to fill otherwise-idle executor slots.
-    /// Never counted in `executed_cells`; speculative cells already in
-    /// the archive cost (and count) nothing.
-    pub speculative_cells: usize,
-    /// Fine simulations spent on speculative cells (never charged
-    /// against a search budget, never mixed into `simulations`).
-    pub speculative_simulations: usize,
-    /// Coarse evaluations spent on speculative cells.
-    pub speculative_coarse: usize,
 }
 
 impl RunStats {
@@ -347,9 +320,6 @@ impl RunStats {
         self.baseline_groups += other.baseline_groups;
         self.reused_baselines += other.reused_baselines;
         self.coarse_simulations += other.coarse_simulations;
-        self.speculative_cells += other.speculative_cells;
-        self.speculative_simulations += other.speculative_simulations;
-        self.speculative_coarse += other.speculative_coarse;
     }
 }
 
@@ -667,7 +637,6 @@ fn run_cells_local(
     on_unit: UnitHook<'_>,
 ) -> Result<CampaignRun, String> {
     let total = cells.len();
-    let is_spec = speculative_flags(cells, config);
 
     // resume: prefill result slots from the archive (only records of
     // this run's fidelity satisfy the read — see `CampaignArchive`)
@@ -675,33 +644,22 @@ fn run_cells_local(
         Some(a) => a.load_as(spec, cells, config.fidelity).slots,
         None => vec![None; total],
     };
-    // speculative archive hits count nowhere: nobody asked for the cell
-    // and no work was done
-    let archived_cells = (0..total)
-        .filter(|&i| slots[i].is_some() && !is_spec[i])
-        .count();
+    let archived_cells = slots.iter().filter(|slot| slot.is_some()).count();
     let missing: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
 
     // dedup: one always-ON1 baseline per (workload, seed, battery,
-    // thermal, ip-count) group, in first-appearance order. A group is
-    // speculative — its baseline run accounted as prefetch work — only
-    // when *every* cell needing it is speculative.
+    // thermal, ip-count) group, in first-appearance order
     let mut groups: Vec<ScenarioSpec> = Vec::new();
     let mut group_of: HashMap<BaselineKey, usize> = HashMap::new();
     let mut cell_group: Vec<usize> = Vec::new();
-    let mut group_spec: Vec<bool> = Vec::new();
     if config.dedup_baselines {
         for &i in &missing {
             let g = *group_of
                 .entry(baseline_key(&cells[i], config.fidelity))
                 .or_insert_with(|| {
                     groups.push(cells[i]);
-                    group_spec.push(true);
                     groups.len() - 1
                 });
-            if !is_spec[i] {
-                group_spec[g] = false;
-            }
             cell_group.push(g);
         }
     }
@@ -728,16 +686,13 @@ fn run_cells_local(
     let work = to_run.len() + missing.len();
     let pool = ThreadPool::new(config.effective_threads().min(work.max(1)));
     let progress = Progress::new(config.progress, work);
-    // one counter per (fidelity, speculative) pair; this run's
-    // evaluations all land in the pair matching `config.fidelity`, with
-    // prefetched cells accounted separately
+    // one counter per fidelity; this run's evaluations all land in the
+    // one matching `config.fidelity`
     let fine_sims = AtomicUsize::new(0);
     let coarse_sims = AtomicUsize::new(0);
-    let spec_fine_sims = AtomicUsize::new(0);
-    let spec_coarse_sims = AtomicUsize::new(0);
-    let (sims, spec_sims) = match config.fidelity {
-        Fidelity::Fine => (&fine_sims, &spec_fine_sims),
-        Fidelity::Coarse => (&coarse_sims, &spec_coarse_sims),
+    let sims = match config.fidelity {
+        Fidelity::Fine => &fine_sims,
+        Fidelity::Coarse => &coarse_sims,
     };
     let reused = AtomicUsize::new(0);
     let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
@@ -757,12 +712,7 @@ fn run_cells_local(
     // phase A: shared baselines
     let fresh_baselines: Vec<Result<SocMetrics, String>> = map_units(&pool, to_run.len(), |k| {
         let group = &groups[to_run[k]];
-        let counter = if group_spec[to_run[k]] {
-            spec_sims
-        } else {
-            sims
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        sims.fetch_add(1, Ordering::Relaxed);
         let out = evaluate(
             spec,
             group,
@@ -791,14 +741,13 @@ fn run_cells_local(
     let fresh: Vec<ScenarioResult> = map_units(&pool, missing.len(), |k| {
         let cell = &cells[missing[k]];
         let baseline = config.dedup_baselines.then(|| baselines[cell_group[k]]);
-        let counter = if is_spec[missing[k]] { spec_sims } else { sims };
         let result = execute_cell(
             spec,
             cell,
             &traces[&trace_key(cell)],
             baseline,
             config.fidelity,
-            counter,
+            sims,
             &reused,
         );
         if let Some(a) = archive {
@@ -841,27 +790,14 @@ fn run_cells_local(
         stats: RunStats {
             total_cells: total,
             archived_cells,
-            executed_cells: missing.iter().filter(|&&i| !is_spec[i]).count(),
+            executed_cells: missing.len(),
             simulations: fine_sims.into_inner(),
-            baseline_groups: to_run.iter().filter(|&&g| !group_spec[g]).count(),
+            baseline_groups: to_run.len(),
             reused_baselines: reused.into_inner(),
             coarse_simulations: coarse_sims.into_inner(),
-            speculative_cells: missing.iter().filter(|&&i| is_spec[i]).count(),
-            speculative_simulations: spec_fine_sims.into_inner(),
-            speculative_coarse: spec_coarse_sims.into_inner(),
         },
         archive_errors,
     })
-}
-
-/// Per-position speculative flags for a run's cell list, from the grid
-/// indices in [`RunnerConfig::speculative`].
-fn speculative_flags(cells: &[ScenarioSpec], config: &RunnerConfig) -> Vec<bool> {
-    if config.speculative.is_empty() {
-        return vec![false; cells.len()];
-    }
-    let set: std::collections::HashSet<usize> = config.speculative.iter().copied().collect();
-    cells.iter().map(|c| set.contains(&c.index)).collect()
 }
 
 /// The cross-process execution path: claim whole baseline groups via
@@ -888,15 +824,11 @@ fn run_cells_leased(
     cache: &mut BaselineCache,
 ) -> Result<CampaignRun, String> {
     let total = cells.len();
-    let is_spec = speculative_flags(cells, config);
     let load = archive.load_as(spec, cells, config.fidelity);
     let mut slots = load.slots;
     let mut stats = RunStats {
         total_cells: total,
-        // speculative archive hits count nowhere, as on the local path
-        archived_cells: (0..total)
-            .filter(|&i| slots[i].is_some() && !is_spec[i])
-            .count(),
+        archived_cells: slots.iter().filter(|slot| slot.is_some()).count(),
         ..RunStats::default()
     };
     let mut archive_errors = Vec::new();
@@ -925,13 +857,7 @@ fn run_cells_leased(
                 .or_default()
                 .push(i);
         }
-        // lease-claim ordering: groups containing at least one real
-        // (proposed) cell are claimed first, in group order; groups made
-        // purely of speculative cells come last, so prefetch work never
-        // delays a proposal a coordinated searcher is waiting on
-        let mut ordered: Vec<(usize, Vec<usize>)> = by_group.into_iter().collect();
-        ordered.sort_by_key(|(group, positions)| (positions.iter().all(|&p| is_spec[p]), *group));
-        for (group, positions) in ordered {
+        for (group, positions) in by_group {
             if config.cancelled() {
                 // graceful drain: leases release per finished group, so
                 // nothing is held — just stop claiming new ones
@@ -951,9 +877,7 @@ fn run_cells_leased(
                 match slot {
                     Some(result) => {
                         slots[p] = Some(result);
-                        if !is_spec[p] {
-                            stats.archived_cells += 1;
-                        }
+                        stats.archived_cells += 1;
                     }
                     None => fresh.push(p),
                 }
@@ -1011,15 +935,10 @@ fn run_cells_leased(
                         cache,
                         Some(&refresher),
                     )?;
-                    stats.archived_cells += run.stats.archived_cells;
-                    stats.executed_cells += run.stats.executed_cells;
-                    stats.simulations += run.stats.simulations;
-                    stats.baseline_groups += run.stats.baseline_groups;
-                    stats.reused_baselines += run.stats.reused_baselines;
-                    stats.coarse_simulations += run.stats.coarse_simulations;
-                    stats.speculative_cells += run.stats.speculative_cells;
-                    stats.speculative_simulations += run.stats.speculative_simulations;
-                    stats.speculative_coarse += run.stats.speculative_coarse;
+                    stats.absorb(&RunStats {
+                        total_cells: 0,
+                        ..run.stats
+                    });
                     archive_errors.extend(run.archive_errors);
                     for (j, result) in run.result.results.into_iter().enumerate() {
                         slots[chunk[j]] = Some(result);
@@ -1054,9 +973,7 @@ fn run_cells_leased(
                 match slot {
                     Some(result) => {
                         slots[i] = Some(result);
-                        if !is_spec[i] {
-                            stats.archived_cells += 1;
-                        }
+                        stats.archived_cells += 1;
                         absorbed_any = true;
                     }
                     None => still_missing = true,

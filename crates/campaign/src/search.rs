@@ -4,12 +4,11 @@
 //! The search layer is split into two halves:
 //!
 //! * a **[`Strategy`]** decides *which cells to look at next*: it
-//!   proposes batches of unevaluated grid indices, observes each
-//!   evaluated cell's result, and may rank likely *next* proposals
-//!   through [`Strategy::prefetch_hint`] (the driver's speculative
-//!   prefetch). Four strategies ship in-tree — [`ClimbStrategy`] (the
-//!   original neighborhood climber), [`AnnealStrategy`] (seeded
-//!   simulated annealing over the same single-axis neighbor primitive),
+//!   proposes batches of unevaluated grid indices and observes each
+//!   evaluated cell's result. Four strategies ship in-tree —
+//!   [`ClimbStrategy`] (the original neighborhood climber),
+//!   [`AnnealStrategy`] (seeded simulated annealing over the same
+//!   single-axis neighbor primitive),
 //!   [`ParetoStrategy`] (multi-objective non-dominated front
 //!   expansion), and [`PortfolioStrategy`] (a restart portfolio racing
 //!   the other three under one shared budget);
@@ -231,16 +230,6 @@ pub struct SearchSpec {
     /// How the budget is spent across fidelities (see
     /// [`SearchFidelity`]; the budget is always in fine-equivalents).
     pub fidelity: SearchFidelity,
-    /// Speculative neighbor prefetch: while a proposed batch is in
-    /// flight, idle executor capacity evaluates the strategy's
-    /// [`Strategy::prefetch_hint`] cells into the archive. Reports stay
-    /// byte-identical with prefetch on or off (results are keyed by
-    /// grid index and the strategy only ever observes its own
-    /// proposals); the extra work is accounted in the `speculative_*`
-    /// [`RunStats`] fields and never charged against `budget`. Needs an
-    /// archive (the prefetched results must land somewhere). Off by
-    /// default.
-    pub prefetch: bool,
 }
 
 impl SearchSpec {
@@ -253,7 +242,6 @@ impl SearchSpec {
             strategy: StrategyKind::Climb,
             anneal: AnnealSchedule::default(),
             fidelity: SearchFidelity::Fine,
-            prefetch: false,
         }
     }
 
@@ -268,12 +256,6 @@ impl SearchSpec {
         self.fidelity = fidelity;
         self
     }
-
-    /// This search with speculative neighbor prefetch enabled.
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
 }
 
 /// What a Pareto search explores: the joint objectives plus the same
@@ -286,8 +268,6 @@ pub struct ParetoSpec {
     pub budget: usize,
     /// Start-frontier size (clamped to the budget and the grid).
     pub start_points: usize,
-    /// Speculative neighbor prefetch (see [`SearchSpec::prefetch`]).
-    pub prefetch: bool,
 }
 
 impl ParetoSpec {
@@ -297,14 +277,7 @@ impl ParetoSpec {
             objectives,
             budget,
             start_points: DEFAULT_START_POINTS,
-            prefetch: false,
         }
-    }
-
-    /// This search with speculative neighbor prefetch enabled.
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
     }
 }
 
@@ -482,18 +455,6 @@ pub trait Strategy {
 
     /// One evaluated cell's outcome.
     fn observe(&mut self, index: usize, result: &ScenarioResult);
-
-    /// A deterministic ranking of the cells this strategy is *likely*
-    /// to propose next (best guesses first), for the driver's
-    /// speculative prefetch. Called after `propose`, before the batch's
-    /// results are observed — so hints predict the round after the one
-    /// in flight. Hints are advisory: the driver filters out evaluated
-    /// and in-flight cells, caps the rest to idle executor capacity,
-    /// and never feeds speculative results back through `observe`. The
-    /// default hints nothing (no speculation).
-    fn prefetch_hint(&self, _spec: &CampaignSpec) -> Vec<usize> {
-        Vec::new()
-    }
 }
 
 /// Evenly-spread start frontier: `count` cells at indices `k * n /
@@ -605,24 +566,6 @@ impl Strategy for ClimbStrategy {
     fn observe(&mut self, index: usize, result: &ScenarioResult) {
         let score = self.board.objective.score(result);
         self.board.record(index, score);
-    }
-
-    /// The climber's likely next proposal: the unevaluated neighbors of
-    /// the best evaluated-but-unexpanded cell — exactly the batch the
-    /// next `propose` returns if the in-flight batch beats nothing —
-    /// falling back to the restart cell.
-    fn prefetch_hint(&self, spec: &CampaignSpec) -> Vec<usize> {
-        if !self.started {
-            return Vec::new();
-        }
-        match self.board.best_unexpanded() {
-            Some(center) => spec
-                .neighbors_of(center)
-                .into_iter()
-                .filter(|&j| !self.board.is_evaluated(j))
-                .collect(),
-            None => self.board.first_unevaluated().into_iter().collect(),
-        }
     }
 }
 
@@ -765,31 +708,6 @@ impl Strategy for AnnealStrategy {
             self.temp *= self.cooling;
         }
     }
-
-    /// The annealer's candidate pool for its next draw: the unevaluated
-    /// neighbors of the current cell (the pool if the in-flight step is
-    /// rejected) and of the pending step (the pool if it is accepted),
-    /// falling back to the restart cell. Reads no randomness, so
-    /// hinting never perturbs the walk.
-    fn prefetch_hint(&self, spec: &CampaignSpec) -> Vec<usize> {
-        if !self.started {
-            return Vec::new();
-        }
-        let mut hint: Vec<usize> = Vec::new();
-        if let Some((cur, _)) = self.current {
-            hint.extend(spec.neighbors_of(cur));
-        }
-        if let Some(pending) = self.pending {
-            hint.extend(spec.neighbors_of(pending));
-        }
-        hint.retain(|&j| !self.board.is_evaluated(j));
-        hint.sort_unstable();
-        hint.dedup();
-        if hint.is_empty() {
-            return self.board.first_unevaluated().into_iter().collect();
-        }
-        hint
-    }
 }
 
 /// Multi-objective front expansion: evaluate the start frontier, then
@@ -806,10 +724,6 @@ pub struct ParetoStrategy {
     expanded: Vec<bool>,
     start_points: usize,
     started: bool,
-    /// The most recent proposal (prefetch hints rank its neighborhood:
-    /// cells the next round expands if the in-flight batch joins the
-    /// front).
-    last_batch: Vec<usize>,
 }
 
 impl ParetoStrategy {
@@ -822,7 +736,6 @@ impl ParetoStrategy {
             expanded: vec![false; n],
             start_points,
             started: false,
-            last_batch: Vec::new(),
         }
     }
 
@@ -856,8 +769,7 @@ impl Strategy for ParetoStrategy {
         let n = spec.scenario_count();
         if !self.started {
             self.started = true;
-            self.last_batch = start_frontier(n, self.start_points.clamp(1, n));
-            return self.last_batch.clone();
+            return start_frontier(n, self.start_points.clamp(1, n));
         }
         loop {
             let unexpanded: Vec<usize> = self
@@ -867,13 +779,12 @@ impl Strategy for ParetoStrategy {
                 .collect();
             if unexpanded.is_empty() {
                 // the whole front is expanded: restart (or finish)
-                self.last_batch = self
+                return self
                     .scores
                     .iter()
                     .position(Option::is_none)
                     .into_iter()
                     .collect();
-                return self.last_batch.clone();
             }
             let mut batch: Vec<usize> = Vec::new();
             for center in unexpanded {
@@ -887,7 +798,6 @@ impl Strategy for ParetoStrategy {
             batch.sort_unstable();
             batch.dedup();
             if !batch.is_empty() {
-                self.last_batch = batch.clone();
                 return batch;
             }
             // every neighbor was already evaluated; the next iteration
@@ -899,30 +809,6 @@ impl Strategy for ParetoStrategy {
     fn observe(&mut self, index: usize, result: &ScenarioResult) {
         debug_assert!(self.scores[index].is_none(), "cell evaluated twice");
         self.scores[index] = Some(self.objectives.score(result));
-    }
-
-    /// The front expander's likely next proposal: the unevaluated
-    /// neighbors of the in-flight batch (the cells the next round
-    /// expands when batch cells join the front), falling back to the
-    /// restart cell.
-    fn prefetch_hint(&self, spec: &CampaignSpec) -> Vec<usize> {
-        let mut hint: Vec<usize> = self
-            .last_batch
-            .iter()
-            .flat_map(|&c| spec.neighbors_of(c))
-            .filter(|&j| self.scores[j].is_none())
-            .collect();
-        hint.sort_unstable();
-        hint.dedup();
-        if hint.is_empty() {
-            return self
-                .scores
-                .iter()
-                .position(Option::is_none)
-                .into_iter()
-                .collect();
-        }
-        hint
     }
 }
 
@@ -1012,13 +898,6 @@ impl Strategy for PortfolioStrategy {
             sub.observe(index, result);
         }
     }
-
-    /// Delegates to the sub holding the next turn.
-    fn prefetch_hint(&self, spec: &CampaignSpec) -> Vec<usize> {
-        let mut hint = self.subs[self.cursor].prefetch_hint(spec);
-        hint.retain(|&i| !self.evaluated[i]);
-        hint
-    }
 }
 
 // ---- the driver ------------------------------------------------------
@@ -1039,19 +918,9 @@ pub struct Exploration {
 /// Runs `strategy` over `spec`'s grid until the budget is spent or the
 /// strategy stops proposing, executing each batch through
 /// [`run_cells_with`] (archive resume/store, baseline dedup, lease
-/// coordination — everything the campaign runner guarantees).
-///
-/// With `prefetch` set (and an archive to land results in), each round
-/// also executes the strategy's [`Strategy::prefetch_hint`] cells —
-/// capped to the executor capacity the batch leaves idle and to the
-/// budget the search can still spend — *in the same runner call as the
-/// batch*, so speculation rides the pool's free threads. Speculative
-/// results are stored in the archive and otherwise discarded: the
-/// strategy never observes them, the budget never pays for them (their
-/// work lands in the `speculative_*` [`RunStats`] fields), and a later
-/// round proposing a prefetched cell is served a free archive hit. The
-/// exploration — and therefore every report — is byte-identical with
-/// prefetch on or off.
+/// coordination — everything the campaign runner guarantees). Each
+/// round is one propose, run, observe cycle: the strategy sees every
+/// result of its batch before it proposes again.
 ///
 /// # Errors
 ///
@@ -1064,7 +933,6 @@ pub fn drive_strategy(
     budget: usize,
     config: &RunnerConfig,
     archive: Option<&CampaignArchive>,
-    prefetch: bool,
 ) -> Result<Exploration, String> {
     spec.validate()?;
     if budget == 0 {
@@ -1092,41 +960,11 @@ pub fn drive_strategy(
         }
         batch.truncate(budget - evaluations.len());
 
-        // speculative prefetch: fill the executor slots this batch
-        // leaves idle with the strategy's best guesses at the *next*
-        // proposal, but never beyond what the remaining budget could
-        // still ask for
-        let mut speculative: Vec<usize> = Vec::new();
-        if prefetch && archive.is_some() {
-            let idle = config.effective_threads().saturating_sub(batch.len());
-            let lookahead = budget - evaluations.len() - batch.len();
-            let cap = idle.min(lookahead);
-            if cap > 0 {
-                speculative = strategy.prefetch_hint(spec);
-                let mut picked = vec![false; n];
-                speculative.retain(|&i| {
-                    !evaluated[i] && !batch.contains(&i) && !std::mem::replace(&mut picked[i], true)
-                });
-                speculative.truncate(cap);
-            }
-        }
-
-        let mut indices = batch.clone();
-        indices.extend(speculative.iter().copied());
-        let cells: Vec<ScenarioSpec> = indices.iter().map(|&i| spec.cell_at(i)).collect();
-        let speculative_config;
-        let run_config = if speculative.is_empty() {
-            config
-        } else {
-            speculative_config = config.clone().with_speculative(speculative.clone());
-            &speculative_config
-        };
-        let run = run_cells_with(spec, &cells, run_config, archive, Some(&mut baselines))?;
+        let cells: Vec<ScenarioSpec> = batch.iter().map(|&i| spec.cell_at(i)).collect();
+        let run = run_cells_with(spec, &cells, config, archive, Some(&mut baselines))?;
         stats.absorb(&run.stats);
         archive_errors.extend(run.archive_errors);
-        for result in run.result.results.into_iter().take(batch.len()) {
-            // results come back in `cells` order: the batch first, then
-            // the speculative tail (archived only, never observed)
+        for result in run.result.results {
             let index = result.scenario.index;
             evaluated[index] = true;
             strategy.observe(index, &result);
@@ -1276,14 +1114,8 @@ pub fn search_campaign(
             };
             let config = config.clone().with_fidelity(fidelity);
             let mut strategy = build_scalar_strategy(spec, search, search.budget)?;
-            let exploration = drive_strategy(
-                spec,
-                &mut *strategy,
-                search.budget,
-                &config,
-                archive,
-                search.prefetch,
-            )?;
+            let exploration =
+                drive_strategy(spec, &mut *strategy, search.budget, &config, archive)?;
             Ok(assemble_scalar(spec, search, exploration))
         }
         SearchFidelity::Multi => multi_fidelity_campaign(spec, search, config, archive),
@@ -1317,14 +1149,7 @@ fn multi_fidelity_campaign(
     let coarse_budget = n.min(budget.saturating_mul(COARSE_FACTOR));
     let mut strategy = build_scalar_strategy(spec, search, coarse_budget)?;
     let coarse_config = config.clone().with_fidelity(Fidelity::Coarse);
-    let screen = drive_strategy(
-        spec,
-        &mut *strategy,
-        coarse_budget,
-        &coarse_config,
-        archive,
-        search.prefetch,
-    )?;
+    let screen = drive_strategy(spec, &mut *strategy, coarse_budget, &coarse_config, archive)?;
     let mut stats = screen.stats;
     let mut archive_errors = screen.archive_errors;
     let screened = screen.evaluations.len();
@@ -1405,14 +1230,7 @@ pub fn pareto_campaign(
 ) -> Result<ParetoOutcome, String> {
     let start_points = pareto.start_points.clamp(1, pareto.budget.max(1));
     let mut strategy = ParetoStrategy::new(spec, pareto.objectives.clone(), start_points);
-    let exploration = drive_strategy(
-        spec,
-        &mut strategy,
-        pareto.budget,
-        config,
-        archive,
-        pareto.prefetch,
-    )?;
+    let exploration = drive_strategy(spec, &mut strategy, pareto.budget, config, archive)?;
 
     // replay the evaluation sequence to reconstruct the round-by-round
     // dominated-count trajectory (scores only; one dominance pass per

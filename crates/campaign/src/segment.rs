@@ -234,8 +234,8 @@ struct FileState {
 /// `segments/` on open and kept current by incremental refreshes.
 ///
 /// Only frames carrying the expected fingerprint and record version are
-/// indexed; foreign frames are skipped (their cells read as missing,
-/// exactly like a foreign legacy record). First frame wins: duplicates
+/// indexed; foreign frames are skipped (their cells read as missing
+/// and re-run). First frame wins: duplicates
 /// are byte-identical by construction.
 ///
 /// All reads go through [`read_batch`](Self::read_batch): one pass per

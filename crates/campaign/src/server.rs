@@ -450,7 +450,6 @@ fn run_one(state: &ServerState, id: &str) -> Result<(), String> {
         ),
         cancel: Some(Arc::clone(&state.cancel)),
         fidelity: Fidelity::Fine,
-        speculative: Vec::new(),
     };
     let run = run_campaign_with(&spec, &config, Some(&archive))?;
     println!(

@@ -33,7 +33,6 @@
 //! initial_temp = 5.0                # annealing schedule (anneal/portfolio)
 //! cooling = 0.9
 //! anneal_seed = 7
-//! prefetch = true                   # speculative neighbor prefetch
 //! ```
 //!
 //! The `[search]` section never reaches [`CampaignSpec`] (or its archive
@@ -259,7 +258,6 @@ const KNOWN_KEYS: &[&str] = &[
     "search.initial_temp",
     "search.cooling",
     "search.anneal_seed",
-    "search.prefetch",
 ];
 
 /// The optional `[search]` section of a spec file: per-spec defaults for
@@ -292,9 +290,6 @@ pub struct SearchDefaults {
     pub cooling: Option<f64>,
     /// `search.anneal_seed` (the annealer's random stream).
     pub anneal_seed: Option<u64>,
-    /// `search.prefetch` (speculative neighbor prefetch; see
-    /// [`crate::search::SearchSpec::prefetch`]).
-    pub prefetch: Option<bool>,
 }
 
 /// Parses a spec file into the campaign grid plus its `[search]`
@@ -411,15 +406,6 @@ pub fn parse_campaign_toml(text: &str) -> Result<(CampaignSpec, SearchDefaults),
     }
     if let Some(v) = doc.get("search.anneal_seed") {
         search.anneal_seed = Some(as_u64("search.anneal_seed", v)?);
-    }
-    if let Some(v) = doc.get("search.prefetch") {
-        let TomlValue::Bool(b) = v else {
-            return Err(format!(
-                "'search.prefetch' must be a boolean, got {}",
-                v.type_name()
-            ));
-        };
-        search.prefetch = Some(*b);
     }
     Ok((spec, search))
 }
@@ -682,25 +668,6 @@ ip_counts = [1]
         assert_eq!(search.initial_temp, Some(2.5));
         assert_eq!(search.cooling, Some(0.85));
         assert_eq!(search.anneal_seed, Some(99));
-    }
-
-    #[test]
-    fn search_prefetch_parses_as_a_boolean_or_fails_loudly() {
-        use crate::search::StrategyKind;
-
-        let text = format!(
-            "{EXAMPLE}\n[search]\nstrategy = \"portfolio\"\nobjective = \"energy_saving\"\n\
-             budget = 4\nprefetch = true\n"
-        );
-        let (_, search) = parse_campaign_toml(&text).unwrap();
-        assert_eq!(search.strategy, Some(StrategyKind::Portfolio));
-        assert_eq!(search.prefetch, Some(true));
-        // absent -> None (the CLI default of "off" applies)
-        let (_, bare) = parse_campaign_toml(EXAMPLE).unwrap();
-        assert_eq!(bare.prefetch, None);
-
-        let err = parse_campaign_toml("[search]\nprefetch = \"yes\"\n").unwrap_err();
-        assert!(err.contains("'search.prefetch' must be a boolean"), "{err}");
     }
 
     #[test]

@@ -152,7 +152,6 @@ pub fn run_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerOutcome, 
         lease: Some(options.lease.clone()),
         cancel: None,
         fidelity: Fidelity::Fine,
-        speculative: Vec::new(),
     };
     let run = run_campaign_with(&spec, &config, Some(&archive))?;
     let summary = WorkerSummary {
@@ -270,10 +269,7 @@ mod tests {
                 simulations: 7,
                 baseline_groups: 2,
                 reused_baselines: 1,
-                coarse_simulations: 0,
-                speculative_cells: 2,
-                speculative_simulations: 3,
-                speculative_coarse: 1,
+                coarse_simulations: 4,
             },
         };
         let json = serde_json::to_string_pretty(&summary).unwrap();

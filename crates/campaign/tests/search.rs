@@ -7,9 +7,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpm_campaign::{
-    run_campaign_with, search_campaign, search_json, BatteryAxis, CampaignArchive, CampaignSpec,
-    Constraint, ControllerAxis, Metric, Objective, RunnerConfig, SearchSpec, ThermalAxis,
-    TuningAxis, WorkloadAxis,
+    parse_campaign_toml, run_campaign_with, search_campaign, search_json, BatteryAxis,
+    CampaignArchive, CampaignSpec, Constraint, ControllerAxis, Metric, Objective, RunnerConfig,
+    SearchSpec, ThermalAxis, TuningAxis, WorkloadAxis,
 };
 use proptest::prelude::*;
 
@@ -158,6 +158,26 @@ fn repeated_resume_search_runs_zero_fresh_simulations() {
         "cached and fresh searches must render byte-identical reports"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// Speculative prefetch was removed: a spec or command line still
+// asking for it must fail loudly rather than silently run without it.
+#[test]
+fn search_prefetch_is_an_unknown_key() {
+    let err = parse_campaign_toml("[search]\nprefetch = true\n").unwrap_err();
+    assert!(err.contains("unknown key 'search.prefetch'"), "{err}");
+}
+
+#[test]
+fn search_prefetch_is_an_unknown_flag() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dpm"))
+        .args(["search", "--builtin", "--objective", "energy_saving"])
+        .arg("--prefetch")
+        .output()
+        .expect("run dpm");
+    assert!(!out.status.success(), "--prefetch must be refused");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag '--prefetch'"), "{stderr}");
 }
 
 proptest! {

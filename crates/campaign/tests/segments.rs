@@ -1,15 +1,16 @@
 //! Segment-store contract: records round-trip bit-identically through
 //! the append-only segment files, torn tails re-run exactly the cell
-//! they hid, and legacy per-cell-JSON archives resume (and compact)
-//! with zero fresh simulations.
+//! they hid, and the segment store is the only record format — a stray
+//! per-cell JSON file under `cells/` is never read, swept or migrated.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpm_campaign::{
-    campaign_json, run_campaign_with, summarize, BatteryAxis, CampaignArchive, CampaignResult,
-    CampaignSpec, ControllerAxis, LeaseConfig, LeaseRecord, RunnerConfig, ScenarioMetrics,
-    ScenarioResult, ThermalAxis, TuningAxis, WorkloadAxis, LEASE_VERSION,
+    campaign_json, run_campaign_with, spec_fingerprint, summarize, BatteryAxis, CampaignArchive,
+    CampaignResult, CampaignSpec, CellRecord, ControllerAxis, Fidelity, LeaseConfig, LeaseRecord,
+    RunnerConfig, ScenarioMetrics, ScenarioResult, ThermalAxis, TuningAxis, WorkloadAxis,
+    ARCHIVE_VERSION, LEASE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -259,47 +260,58 @@ fn compact_refuses_under_a_live_lease_and_proceeds_once_it_is_gone() {
 }
 
 #[test]
-fn legacy_five_digit_archive_resumes_and_compacts_without_simulations() {
-    // an archive exactly as an old binary left it: per-cell JSON files
-    // with 5-digit names, no segments at all
+fn a_stray_cells_directory_is_inert() {
+    // the per-cell JSON layout older archives used: nothing creates it,
+    // reads it, sweeps it or migrates it any more
     let spec = spec_with(vec![4, 5]);
     let cold = run_campaign_with(&spec, &config(1), None).expect("cold run");
     let dir = scratch_dir();
-    {
-        let archive = CampaignArchive::open(&dir, &spec).expect("open");
-        for r in &cold.result.results {
-            archive.store_legacy(&spec, r).expect("store legacy");
-            let index = r.scenario.index;
-            std::fs::rename(
-                dir.join("cells").join(format!("cell-{index:08}.json")),
-                dir.join("cells").join(format!("cell-{index:05}.json")),
-            )
-            .expect("rename to the historical 5-digit name");
-        }
-        let _ = std::fs::remove_dir_all(dir.join("segments"));
+    let archive = CampaignArchive::open(&dir, &spec).expect("open");
+    assert!(!dir.join("cells").exists(), "open creates no cells/");
+
+    // a complete campaign directory, except that cell 0's record sits
+    // only in a valid-looking per-cell file
+    for r in &cold.result.results[1..] {
+        archive.store(&spec, r).expect("store");
     }
+    let first = &cold.result.results[0];
+    let record = CellRecord {
+        archive_version: ARCHIVE_VERSION,
+        spec_fingerprint: spec_fingerprint(&spec),
+        master_seed: spec.master_seed,
+        horizon_ms: spec.horizon_ms,
+        scenario: first.scenario,
+        metrics: first.metrics.clone().expect("cell 0 ran"),
+        fidelity: Fidelity::Fine,
+    };
+    let stray = dir.join("cells").join("cell-00000000.json");
+    std::fs::create_dir_all(stray.parent().unwrap()).expect("create cells/");
+    let stray_bytes = serde_json::to_string_pretty(&record).expect("serialize record");
+    std::fs::write(&stray, &stray_bytes).expect("write stray record");
 
-    // read-through: zero fresh simulations, byte-identical report
-    let archive = CampaignArchive::open(&dir, &spec).expect("reopen legacy");
-    let resumed = run_campaign_with(&spec, &config(2), Some(&archive)).expect("legacy resume");
-    assert_eq!(resumed.stats.simulations, 0, "legacy records all load");
-    assert_eq!(archive_bytes(&resumed.result), archive_bytes(&cold.result));
-
-    // compaction migrates every legacy file into one segment...
-    let report = archive.compact(&spec).expect("compact legacy");
-    assert_eq!(report.records, spec.scenario_count());
-    assert_eq!(report.legacy_migrated, spec.scenario_count());
-    assert!(
-        std::fs::read_dir(dir.join("cells"))
-            .map(|entries| entries.count() == 0)
-            .unwrap_or(true),
-        "migrated legacy files are removed"
+    let reopened = CampaignArchive::open(&dir, &spec).expect("reopen");
+    let resumed = run_campaign_with(&spec, &config(2), Some(&reopened)).expect("resume");
+    assert_eq!(
+        resumed.stats.executed_cells, 1,
+        "exactly the cell held only in cells/ re-runs"
     );
-    // ...and the compacted archive still resumes with zero simulations
-    let compacted = CampaignArchive::open(&dir, &spec).expect("reopen compacted");
-    let again = run_campaign_with(&spec, &config(1), Some(&compacted)).expect("compacted resume");
+    assert_eq!(resumed.stats.archived_cells, spec.scenario_count() - 1);
+    assert_eq!(
+        archive_bytes(&resumed.result),
+        archive_bytes(&cold.result),
+        "the resumed report is byte-identical to a cold run"
+    );
+
+    // hygiene passes leave the stray file exactly as it was
+    reopened.gc(&spec, 60_000).expect("gc");
+    let report = reopened.compact(&spec).expect("compact");
+    assert_eq!(report.records, spec.scenario_count());
+    assert_eq!(
+        std::fs::read_to_string(&stray).expect("stray file survives"),
+        stray_bytes
+    );
+    let again = run_campaign_with(&spec, &config(1), Some(&reopened)).expect("second resume");
     assert_eq!(again.stats.simulations, 0);
-    assert_eq!(archive_bytes(&again.result), archive_bytes(&cold.result));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
